@@ -13,15 +13,45 @@ reconstructs the paper's ~8.7M-parameter network.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .. import nn
 from ..nn import functional as F
+from ..nn.graph import INPUT, WEIGHTED, Graph, Node
 from .config import TinyYoloConfig
 
 __all__ = ["TinyYolo"]
+
+#: The darknet ``yolov3-tiny.cfg`` graph, one row per node in execution
+#: order. ``conv`` is conv + batch-norm + leaky ReLU with ``(base output
+#: channels, kernel)`` — the width multiplier scales the channels — and
+#: ``head`` a linear 1×1 conv to the head channels. Modules are built in
+#: table order, which fixes the seeded RNG draws and the checkpoint keys.
+YOLOV3_TINY = Graph([
+    Node("conv1", "conv", (INPUT,), (16, 3)),
+    Node("pool1", "pool", ("conv1",), (2, 2)),
+    Node("conv2", "conv", ("pool1",), (32, 3)),
+    Node("pool2", "pool", ("conv2",), (2, 2)),
+    Node("conv3", "conv", ("pool2",), (64, 3)),
+    Node("pool3", "pool", ("conv3",), (2, 2)),
+    Node("conv4", "conv", ("pool3",), (128, 3)),
+    Node("pool4", "pool", ("conv4",), (2, 2)),
+    Node("conv5", "conv", ("pool4",), (256, 3)),  # route to the fine head
+    Node("pool5", "pool", ("conv5",), (2, 2)),
+    Node("conv6", "conv", ("pool5",), (512, 3)),
+    Node("pool6", "pool", ("conv6",), (2, 1)),  # darknet's stride-1 'same' pool
+    Node("conv7", "conv", ("pool6",), (1024, 3)),
+    Node("conv8", "conv", ("conv7",), (256, 1)),  # layer-13 route point
+    Node("conv9", "conv", ("conv8",), (512, 3)),
+    Node("head_coarse", "head", ("conv9",)),  # stride 32
+    Node("conv10", "conv", ("conv8",), (128, 1)),
+    Node("upsample", "upsample", ("conv10",), (2,)),
+    Node("route", "concat", ("upsample", "conv5")),
+    Node("conv11", "conv", ("route",), (256, 3)),
+    Node("head_fine", "head", ("conv11",)),  # stride 16
+])
 
 
 class TinyYolo(nn.Module):
@@ -29,41 +59,37 @@ class TinyYolo(nn.Module):
 
     ``forward`` returns the two raw head tensors; use
     :func:`repro.detection.decode.decode_heads` to turn them into boxes,
-    objectness and class probabilities.
+    objectness and class probabilities. The topology is the class's
+    ``graph`` table; a variant is a subclass with another table.
     """
+
+    graph = YOLOV3_TINY
 
     def __init__(self, config: TinyYoloConfig, seed: int = 0):
         super().__init__()
         self.config = config
         rng = np.random.default_rng(seed)
-        c = config.channels
-
-        # Backbone (layers 0-12 in darknet numbering).
-        self.conv1 = nn.ConvBlock(3, c(16), 3, rng=rng)
-        self.conv2 = nn.ConvBlock(c(16), c(32), 3, rng=rng)
-        self.conv3 = nn.ConvBlock(c(32), c(64), 3, rng=rng)
-        self.conv4 = nn.ConvBlock(c(64), c(128), 3, rng=rng)
-        self.conv5 = nn.ConvBlock(c(128), c(256), 3, rng=rng)  # route to fine head
-        self.conv6 = nn.ConvBlock(c(256), c(512), 3, rng=rng)
-        self.conv7 = nn.ConvBlock(c(512), c(1024), 3, rng=rng)
-
-        # Coarse head (stride 32).
-        self.conv8 = nn.ConvBlock(c(1024), c(256), 1, rng=rng)  # layer 13 route point
-        self.conv9 = nn.ConvBlock(c(256), c(512), 3, rng=rng)
-        self.head_coarse = nn.Conv2d(c(512), config.head_channels, 1, rng=rng)
-
-        # Fine head (stride 16) via upsample + concat with conv5 features.
-        self.conv10 = nn.ConvBlock(c(256), c(128), 1, rng=rng)
-        self.conv11 = nn.ConvBlock(c(128) + c(256), c(256), 3, rng=rng)
-        self.head_fine = nn.Conv2d(c(256), config.head_channels, 1, rng=rng)
-
+        channels = {INPUT: 3}
+        for node in self.graph.nodes:
+            inputs = [channels[name] for name in node.inputs]
+            out = sum(inputs) if node.op == "concat" else inputs[0]
+            if node.op == "conv":
+                base, kernel = node.args
+                out = config.channels(base)
+                setattr(self, node.name,
+                        nn.ConvBlock(inputs[0], out, kernel, rng=rng))
+            elif node.op == "head":
+                out = config.head_channels
+                setattr(self, node.name, nn.Conv2d(inputs[0], out, 1, rng=rng))
+            channels[node.name] = out
         self._initialize_heads()
 
     def _initialize_heads(self) -> None:
         """Bias objectness strongly negative so the untrained network starts
         from 'no objects anywhere', which stabilizes early training."""
         per_anchor = 5 + self.config.num_classes
-        for head in (self.head_coarse, self.head_fine):
+        for name in self.graph.outputs:
+            head = getattr(self, name)
             bias = head.bias.data.reshape(self.config.anchors_per_head, per_anchor)
             bias[:, 4] = -4.0
             head.bias.data = bias.reshape(-1)
@@ -88,23 +114,17 @@ class TinyYolo(nn.Module):
                 f"input spatial size {x.shape[-2:]} != configured "
                 f"{self.config.input_size}"
             )
-        x = F.max_pool2d(self.conv1(x), 2, 2)
-        x = F.max_pool2d(self.conv2(x), 2, 2)
-        x = F.max_pool2d(self.conv3(x), 2, 2)
-        x = F.max_pool2d(self.conv4(x), 2, 2)
-        route_fine = self.conv5(x)
-        x = F.max_pool2d(route_fine, 2, 2)
-        x = self.conv6(x)
-        x = F.max_pool2d(x, 2, 1)  # darknet's stride-1 'same' pool
-        x = self.conv7(x)
+        return self.graph.run(x, self.run_node)
 
-        route_13 = self.conv8(x)
-        coarse = self.head_coarse(self.conv9(route_13))
-
-        up = F.upsample_nearest(self.conv10(route_13), 2)
-        merged = nn.concatenate([up, route_fine], axis=1)
-        fine = self.head_fine(self.conv11(merged))
-        return coarse, fine
+    def run_node(self, node: Node, *inputs: nn.Tensor) -> nn.Tensor:
+        """Apply one graph node with the differentiable ops."""
+        if node.op in WEIGHTED:
+            return getattr(self, node.name)(inputs[0])
+        if node.op == "pool":
+            return F.max_pool2d(inputs[0], *node.args)
+        if node.op == "upsample":
+            return F.upsample_nearest(inputs[0], *node.args)
+        return nn.concatenate(list(inputs), axis=1)
 
     # ------------------------------------------------------------------
     def lower(self, debug: bool = False) -> "nn.LoweredDetector":
@@ -116,8 +136,8 @@ class TinyYolo(nn.Module):
         contract but is inference-only. Weights are folded *copies* —
         re-lower after loading a new checkpoint.
         """
-        from ..nn.lowering import lower_detector
-        return lower_detector(self, debug=debug)
+        from ..nn.lowering import LoweredDetector
+        return LoweredDetector(self, debug=debug)
 
     # ------------------------------------------------------------------
     def quantize(self, calibration_frames=None, *, calibration=None,
@@ -136,8 +156,8 @@ class TinyYolo(nn.Module):
         ``bench_hotpath.py``, not bit-exactly. Scales are quantized
         *copies* — re-quantize after loading a new checkpoint.
         """
-        from ..nn.quant import (QuantizationError, calibrate_detector,
-                                quantize_detector)
+        from ..nn.quant import (QuantizationError, QuantizedDetector,
+                                calibrate_detector)
         if calibration is None:
             if calibration_frames is None:
                 raise QuantizationError(
@@ -146,13 +166,4 @@ class TinyYolo(nn.Module):
                     "inputs) or calibration=CalibrationResult")
             calibration = calibrate_detector(self, calibration_frames,
                                              percentile=percentile)
-        return quantize_detector(self, calibration, debug=debug)
-
-    # ------------------------------------------------------------------
-    def checkpoint_metadata(self) -> dict:
-        """Metadata stored alongside checkpoints for compatibility checks."""
-        return {
-            "input_size": self.config.input_size,
-            "num_classes": self.config.num_classes,
-            "width_multiplier": self.config.width_multiplier,
-        }
+        return QuantizedDetector(self, calibration, debug=debug)

@@ -29,7 +29,6 @@ from .lowering import (
     LoweredDetector,
     fold_conv_bn,
     layer_parity,
-    lower_detector,
 )
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .quant import (
@@ -39,7 +38,6 @@ from .quant import (
     activation_error_stats,
     calibrate_detector,
     quant_runtime_totals,
-    quantize_detector,
     resolve_inference_model,
 )
 from .serialization import load_module, save_module
@@ -77,14 +75,12 @@ __all__ = [
     "LoweredDetector",
     "fold_conv_bn",
     "layer_parity",
-    "lower_detector",
     "CalibrationResult",
     "QuantizationError",
     "QuantizedDetector",
     "activation_error_stats",
     "calibrate_detector",
     "quant_runtime_totals",
-    "quantize_detector",
     "resolve_inference_model",
     "he_normal",
     "xavier_uniform",

@@ -8,7 +8,7 @@ can be folded into the conv weights, the leaky-ReLU is a two-op epilogue
 that never needs its own graph node, and every buffer/einsum path can be
 resolved once instead of per call.
 
-:func:`lower_detector` (exposed as ``TinyYolo.lower()``) runs a one-shot
+:class:`LoweredDetector` (built by ``TinyYolo.lower()``) runs a one-shot
 compile pass over an eval-mode detector:
 
 * **BN folding** — each ``ConvBlock``'s batch-norm is folded into the
@@ -22,7 +22,8 @@ compile pass over an eval-mode detector:
   output buffer (``max(y, slope·y)``), no intermediate tensors.
 * **Plan cache** — the lowered graph owns a private
   :class:`~repro.nn.functional.ConvWorkspace` and compiles one
-  :class:`_Plan` per input batch shape: per-layer pad/output/scratch
+  :class:`_Plan` per input batch shape: one executor per node of the
+  source model's :class:`~repro.nn.graph.Graph`, pad/output/scratch
   buffers pre-sized once, einsum contraction paths pre-resolved, 1×1
   convs routed through a direct GEMM. Re-running the same shape does
   zero allocation. Pads go through ``ConvWorkspace.pad`` so the
@@ -39,12 +40,14 @@ inputs and cannot be put back into training mode.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .functional import ConvWorkspace
-from .tensor import Tensor, is_grad_enabled
+from .graph import INPUT, Graph, Node
+from .tensor import Tensor, is_grad_enabled, no_grad
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .layers import BatchNorm2d, Conv2d, ConvBlock
@@ -54,7 +57,6 @@ __all__ = [
     "fold_conv_bn",
     "FusedConvSpec",
     "LoweredDetector",
-    "lower_detector",
     "layer_parity",
 ]
 
@@ -154,14 +156,13 @@ class _ConvExec:
     buffer) so the debug in-flight guard covers the executor.
     """
 
-    __slots__ = ("spec", "ws", "out", "tmp", "path", "in_shape", "one_by_one")
+    __slots__ = ("spec", "ws", "out", "tmp", "path", "one_by_one")
 
     def __init__(self, spec: FusedConvSpec, in_shape: Tuple[int, ...],
                  ws: ConvWorkspace):
         self.spec = spec
         self.ws = ws
         n, c, h, w = in_shape
-        self.in_shape = in_shape
         k, p, s = spec.kernel, spec.padding, spec.stride
         out_h = (h + 2 * p - k) // s + 1
         out_w = (w + 2 * p - k) // s + 1
@@ -216,10 +217,10 @@ class _PoolExec:
 
     __slots__ = ("kernel", "stride", "out", "padbuf")
 
-    def __init__(self, name: str, in_shape: Tuple[int, ...], kernel: int,
-                 stride: int, ws: ConvWorkspace):
-        self.kernel = kernel
-        self.stride = stride
+    def __init__(self, node: Node, ws: ConvWorkspace,
+                 in_shape: Tuple[int, ...]):
+        kernel, stride = node.args
+        self.kernel, self.stride = kernel, stride
         n, c, h, w = in_shape
         self.padbuf = None
         if stride == 1:
@@ -227,7 +228,7 @@ class _PoolExec:
                 raise ValueError("lowered same-pool supports kernel=2 only")
             # Darknet 'same' pool: one -inf pixel on the bottom/right.
             # Borders are written once here and never touched again.
-            self.padbuf = ws.buffer(("lowered.pool_pad", name,
+            self.padbuf = ws.buffer(("lowered.pool_pad", node.name,
                                      (n, c, h + 1, w + 1)), (n, c, h + 1, w + 1))
             self.padbuf[:, :, h, :] = -np.inf
             self.padbuf[:, :, :, w] = -np.inf
@@ -235,7 +236,8 @@ class _PoolExec:
         else:
             out_shape = (n, c, (h - kernel) // stride + 1,
                          (w - kernel) // stride + 1)
-        self.out = ws.buffer(("lowered.pool_out", name, out_shape), out_shape)
+        self.out = ws.buffer(("lowered.pool_out", node.name, out_shape),
+                             out_shape)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         if self.padbuf is not None:
@@ -253,17 +255,16 @@ class _PoolExec:
 
 
 class _UpsampleExec:
-    """2× nearest-neighbour upsample via broadcast assignment."""
+    """Nearest-neighbour upsample via broadcast assignment."""
 
     __slots__ = ("out", "scale")
 
-    def __init__(self, name: str, in_shape: Tuple[int, ...], scale: int,
-                 ws: ConvWorkspace):
+    def __init__(self, node: Node, ws: ConvWorkspace,
+                 in_shape: Tuple[int, ...]):
         n, c, h, w = in_shape
-        self.scale = scale
-        self.out = ws.buffer(("lowered.up", name,
-                              (n, c, h * scale, w * scale)),
-                             (n, c, h * scale, w * scale))
+        (self.scale,) = node.args
+        out_shape = (n, c, h * self.scale, w * self.scale)
+        self.out = ws.buffer(("lowered.up", node.name, out_shape), out_shape)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -275,137 +276,77 @@ class _UpsampleExec:
 class _ConcatExec:
     """Channel concatenation into a pre-sized buffer."""
 
-    __slots__ = ("out", "split")
+    __slots__ = ("out", "offsets")
 
-    def __init__(self, name: str, shape_a: Tuple[int, ...],
-                 shape_b: Tuple[int, ...], ws: ConvWorkspace):
-        n, c1, h, w = shape_a
-        c2 = shape_b[1]
-        self.split = c1
-        self.out = ws.buffer(("lowered.cat", name, (n, c1 + c2, h, w)),
-                             (n, c1 + c2, h, w))
+    def __init__(self, node: Node, ws: ConvWorkspace,
+                 *in_shapes: Tuple[int, ...]):
+        n, _, h, w = in_shapes[0]
+        self.offsets = (0, *accumulate(shape[1] for shape in in_shapes))
+        out_shape = (n, self.offsets[-1], h, w)
+        self.out = ws.buffer(("lowered.cat", node.name, out_shape), out_shape)
 
-    def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.out[:, :self.split] = a
-        self.out[:, self.split:] = b
+    def run(self, *parts: np.ndarray) -> np.ndarray:
+        for start, stop, part in zip(self.offsets, self.offsets[1:], parts):
+            self.out[:, start:stop] = part
         return self.out
 
 
+#: Executor class of each unweighted op.
+_SHAPE_EXECS = {"pool": _PoolExec, "upsample": _UpsampleExec,
+                "concat": _ConcatExec}
+
+
 class _Plan:
-    """Compiled execution plan of the TinyYolo graph for one input shape.
+    """Compiled execution plan of a detector graph for one input shape.
 
-    Mirrors :meth:`repro.detection.model.TinyYolo.forward` exactly —
-    backbone with five stride-2 pools and the stride-1 'same' pool, the
-    layer-13 route, the coarse head, and the upsample/concat fine head.
-
-    ``conv_exec`` is the per-layer executor family: the lowered fp plans
-    use :class:`_ConvExec`; the int8 plans of :mod:`repro.nn.quant` pass
-    their own executor class built from quantized specs. Everything else
-    — pools, upsample, concat, the graph topology itself — is shared
-    between the two plan families.
+    One pre-sized executor per graph node, run by the graph interpreter.
+    ``conv_exec`` is the executor class of the ``conv`` nodes — the int8
+    plans of :mod:`repro.nn.quant` pass their own; ``head`` nodes always
+    run the fp :class:`_ConvExec`.
     """
 
-    def __init__(self, specs: Dict[str, FusedConvSpec],
-                 in_shape: Tuple[int, ...], ws: ConvWorkspace,
-                 conv_exec=None):
-        if conv_exec is None:
-            conv_exec = _ConvExec
+    def __init__(self, graph: Graph, specs: Dict[str, FusedConvSpec],
+                 in_shape: Tuple[int, ...], ws: ConvWorkspace, conv_exec):
+        self.graph = graph
+        self.execs = {}
+        shapes = {INPUT: in_shape}
+        for node in graph.nodes:
+            inputs = [shapes[name] for name in node.inputs]
+            if node.op == "conv":
+                exec_ = conv_exec(specs[node.name], inputs[0], ws)
+            elif node.op == "head":
+                exec_ = _ConvExec(specs[node.name], inputs[0], ws)
+            else:
+                exec_ = _SHAPE_EXECS[node.op](node, ws, *inputs)
+            self.execs[node.name] = exec_
+            shapes[node.name] = exec_.out.shape
 
-        def conv(name, shape):
-            exec_ = conv_exec(specs[name], shape, ws)
-            return exec_, exec_.out.shape
-
-        shape = in_shape
-        self.convs: Dict[str, _ConvExec] = {}
-        self.pools: List[_PoolExec] = []
-        for index, name in enumerate(
-                ("conv1", "conv2", "conv3", "conv4", "conv5")):
-            self.convs[name], shape = conv(name, shape)
-            if name != "conv5":
-                pool = _PoolExec(f"pool{index + 1}", shape, 2, 2, ws)
-                self.pools.append(pool)
-                shape = pool.out.shape
-        route_fine_shape = shape
-        pool5 = _PoolExec("pool5", shape, 2, 2, ws)
-        self.pools.append(pool5)
-        self.convs["conv6"], shape = conv("conv6", pool5.out.shape)
-        self.same_pool = _PoolExec("pool6", shape, 2, 1, ws)
-        self.convs["conv7"], shape = conv("conv7", self.same_pool.out.shape)
-        self.convs["conv8"], route_13_shape = conv("conv8", shape)
-        self.convs["conv9"], shape = conv("conv9", route_13_shape)
-        self.convs["head_coarse"], _ = conv("head_coarse", shape)
-        self.convs["conv10"], shape = conv("conv10", route_13_shape)
-        self.upsample = _UpsampleExec("up", shape, 2, ws)
-        self.concat = _ConcatExec("route", self.upsample.out.shape,
-                                  route_fine_shape, ws)
-        self.convs["conv11"], shape = conv("conv11", self.concat.out.shape)
-        self.convs["head_fine"], _ = conv("head_fine", shape)
+    def _run_node(self, node: Node, *inputs: np.ndarray) -> np.ndarray:
+        return self.execs[node.name].run(*inputs)
 
     def run(self, x: np.ndarray,
-            capture: Optional[Dict[str, np.ndarray]] = None,
-            tap=None) -> Tuple[np.ndarray, np.ndarray]:
-        """Execute the plan. ``capture`` records each conv's *output*
-        (parity oracle); ``tap(name, array)`` observes each conv's *input*
-        just before it runs (the quantization calibration pass records
-        activation ranges through it). Both default to ``None`` and cost
+            hook: Optional[Callable] = None) -> Tuple[np.ndarray, ...]:
+        """Execute the plan; returns the head output buffers. ``hook(name,
+        input, output)`` observes every conv and head (the parity oracle
+        records outputs, calibration records inputs); ``None`` costs
         nothing on the hot path."""
-        convs, pools = self.convs, self.pools
-
-        def emit(name, value):
-            if capture is not None:
-                capture[name] = value.copy()
-            return value
-
-        def conv(name, value):
-            if tap is not None:
-                tap(name, value)
-            return convs[name].run(value)
-
-        x = emit("conv1", conv("conv1", x))
-        x = pools[0].run(x)
-        x = emit("conv2", conv("conv2", x))
-        x = pools[1].run(x)
-        x = emit("conv3", conv("conv3", x))
-        x = pools[2].run(x)
-        x = emit("conv4", conv("conv4", x))
-        x = pools[3].run(x)
-        route_fine = emit("conv5", conv("conv5", x))
-        x = pools[4].run(route_fine)
-        x = emit("conv6", conv("conv6", x))
-        x = self.same_pool.run(x)
-        x = emit("conv7", conv("conv7", x))
-        route_13 = emit("conv8", conv("conv8", x))
-        coarse = emit("head_coarse",
-                      conv("head_coarse", conv("conv9", route_13)))
-        if capture is not None:
-            capture["conv9"] = convs["conv9"].out.copy()
-        up = self.upsample.run(emit("conv10", conv("conv10", route_13)))
-        merged = self.concat.run(up, route_fine)
-        fine = emit("head_fine", conv("head_fine", conv("conv11", merged)))
-        if capture is not None:
-            capture["conv11"] = convs["conv11"].out.copy()
-        return coarse, fine
+        return self.graph.run(x, self._run_node, hook)
 
 
 # ----------------------------------------------------------------------
 # Public surface
 # ----------------------------------------------------------------------
 
-#: ConvBlock attribute names on TinyYolo, in forward order.
-_BLOCK_NAMES = ("conv1", "conv2", "conv3", "conv4", "conv5", "conv6",
-                "conv7", "conv8", "conv9", "conv10", "conv11")
-_HEAD_NAMES = ("head_coarse", "head_fine")
-
-
 class CompiledDetector:
     """Shared machinery of the compiled (inference-only) detector views.
 
     Both plan families — the lowered fp executor (:class:`LoweredDetector`)
     and the int8 executor (:class:`repro.nn.quant.QuantizedDetector`) —
-    are a spec dict plus a per-shape :class:`_Plan` cache over a private
-    :class:`~repro.nn.functional.ConvWorkspace`. Subclasses set
-    ``kind`` (error messages), ``conv_exec`` (the per-layer executor
-    class) and fill ``self.specs`` before first use.
+    are the source model's graph table, a spec per weighted node and a
+    per-shape :class:`_Plan` cache over a private
+    :class:`~repro.nn.functional.ConvWorkspace`. Subclasses set ``kind``
+    (error messages) and ``conv_exec`` (the executor class of ``conv``
+    nodes).
 
     Same ``forward`` contract as the source model — call with an NCHW
     tensor (or array), get ``(coarse, fine)`` raw head tensors — plus the
@@ -417,7 +358,7 @@ class CompiledDetector:
     """
 
     kind = "compiled"
-    #: Per-layer executor class handed to :class:`_Plan`.
+    #: Executor class of the ``conv`` nodes, handed to :class:`_Plan`.
     conv_exec = None  # subclasses set
 
     def __init__(self, model, debug: bool = False):
@@ -428,12 +369,20 @@ class CompiledDetector:
                 "mode would neither use nor keep fixed — call model.eval() "
                 "first")
         self.config = model.config
+        self.graph = model.graph
         self.training = False
         # Private plan cache: count-unbounded within byte budget (one plan
         # per distinct batch shape; a detector sees few), sized so the
         # full-profile plan fits.
         self.workspace = ConvWorkspace(max_buffers=512, debug=debug)
         self.specs: Dict[str, FusedConvSpec] = {}
+        for node in self.graph.nodes:
+            if node.op == "conv":
+                self.specs[node.name] = FusedConvSpec.from_block(
+                    node.name, getattr(model, node.name))
+            elif node.op == "head":
+                self.specs[node.name] = FusedConvSpec.from_conv(
+                    node.name, getattr(model, node.name))
         self._plans: Dict[Tuple[int, ...], _Plan] = {}
 
     # -- Module-surface compatibility ----------------------------------
@@ -446,29 +395,22 @@ class CompiledDetector:
                                "train the source TinyYolo instead")
         return self
 
-    def checkpoint_metadata(self) -> dict:
-        return {
-            "input_size": self.config.input_size,
-            "num_classes": self.config.num_classes,
-            "width_multiplier": self.config.width_multiplier,
-        }
-
     # -- execution ------------------------------------------------------
     def _plan_for(self, shape: Tuple[int, ...]) -> _Plan:
         plan = self._plans.get(shape)
         if plan is None:
             plan = self._plans[shape] = _Plan(
-                self.specs, shape, self.workspace, conv_exec=self.conv_exec)
+                self.graph, self.specs, shape, self.workspace, self.conv_exec)
         return plan
 
-    def forward_arrays(self, data: np.ndarray,
-                       capture: Optional[Dict[str, np.ndarray]] = None,
-                       tap=None) -> Tuple[np.ndarray, np.ndarray]:
+    def forward_arrays(self, data: np.ndarray, hook: Optional[Callable] = None
+                       ) -> Tuple[np.ndarray, ...]:
         """Raw-array forward: ``(coarse, fine)`` numpy head outputs.
 
         The returned arrays are *copies* of the plan buffers, safe to hold
-        across subsequent forwards. ``tap(name, array)`` observes each
-        conv input (calibration); ``capture`` records conv outputs.
+        across subsequent forwards. ``hook(name, input, output)`` observes
+        every conv and head node; the arrays it sees are plan buffers,
+        valid until this plan runs again.
         """
         data = np.ascontiguousarray(data, dtype=np.float32)
         if data.ndim != 4 or data.shape[1] != 3:
@@ -478,11 +420,10 @@ class CompiledDetector:
             raise ValueError(
                 f"input spatial size {data.shape[-2:]} != configured "
                 f"{self.config.input_size}")
-        coarse, fine = self._plan_for(data.shape).run(data, capture=capture,
-                                                      tap=tap)
-        return coarse.copy(), fine.copy()
+        heads = self._plan_for(data.shape).run(data, hook)
+        return tuple(head.copy() for head in heads)
 
-    def forward(self, x) -> Tuple[Tensor, Tensor]:
+    def forward(self, x) -> Tuple[Tensor, ...]:
         """Run the compiled detector; same contract as ``TinyYolo.forward``.
 
         Raises if asked to participate in a gradient graph — the compiled
@@ -499,8 +440,7 @@ class CompiledDetector:
             data = x.data
         else:
             data = np.asarray(x)
-        coarse, fine = self.forward_arrays(data)
-        return Tensor(coarse), Tensor(fine)
+        return tuple(Tensor(head) for head in self.forward_arrays(data))
 
     __call__ = forward
 
@@ -516,62 +456,31 @@ class LoweredDetector(CompiledDetector):
     kind = "lowered"
     conv_exec = _ConvExec
 
-    def __init__(self, model, debug: bool = False):
-        super().__init__(model, debug=debug)
-        for name in _BLOCK_NAMES:
-            self.specs[name] = FusedConvSpec.from_block(name, getattr(model, name))
-        for name in _HEAD_NAMES:
-            self.specs[name] = FusedConvSpec.from_conv(name, getattr(model, name))
 
-
-def lower_detector(model, debug: bool = False) -> LoweredDetector:
-    """One-shot lowering pass (the function behind ``TinyYolo.lower()``)."""
-    return LoweredDetector(model, debug=debug)
+def _record_outputs(into: dict) -> Callable:
+    """A graph hook storing each weighted node's output in ``into``."""
+    def hook(name, _input, output):
+        into[name] = output
+    return hook
 
 
 def layer_parity(model, lowered: LoweredDetector,
                  x: np.ndarray) -> Dict[str, float]:
     """Per-layer max |Δ| between the lowered executor and the reference.
 
-    Runs the eval-mode reference blocks and the lowered plan on the same
-    input and returns ``{layer_name: max_abs_delta}`` for every fused
-    conv (ConvBlocks and head convs). The parity oracle asserts every
-    value ≤ :data:`LOWERING_ATOL`.
+    Runs the source model's graph with its eval-mode autodiff ops and the
+    lowered plan on the same input, observing both through the graph
+    hook, and returns ``{node_name: max_abs_delta}`` for every weighted
+    node (convs and heads). The parity oracle asserts every value ≤
+    :data:`LOWERING_ATOL`.
     """
-    from . import functional as F
-    from .tensor import concatenate, no_grad
-
     if model.training:
         raise RuntimeError("layer_parity needs the reference in eval mode")
     x = np.ascontiguousarray(x, dtype=np.float32)
     captured: Dict[str, np.ndarray] = {}
-    lowered.forward_arrays(x, capture=captured)
-
-    reference: Dict[str, np.ndarray] = {}
+    reference: Dict[str, Tensor] = {}
+    lowered.forward_arrays(x, hook=_record_outputs(captured))
     with no_grad():
-        t = Tensor(x)
-        # Mirror of TinyYolo.forward, recording each fused layer's output.
-        t = model.conv1(t); reference["conv1"] = t.data
-        t = F.max_pool2d(t, 2, 2)
-        t = model.conv2(t); reference["conv2"] = t.data
-        t = F.max_pool2d(t, 2, 2)
-        t = model.conv3(t); reference["conv3"] = t.data
-        t = F.max_pool2d(t, 2, 2)
-        t = model.conv4(t); reference["conv4"] = t.data
-        t = F.max_pool2d(t, 2, 2)
-        route_fine = model.conv5(t); reference["conv5"] = route_fine.data
-        t = F.max_pool2d(route_fine, 2, 2)
-        t = model.conv6(t); reference["conv6"] = t.data
-        t = F.max_pool2d(t, 2, 1)
-        t = model.conv7(t); reference["conv7"] = t.data
-        route_13 = model.conv8(t); reference["conv8"] = route_13.data
-        t = model.conv9(route_13); reference["conv9"] = t.data
-        reference["head_coarse"] = model.head_coarse(t).data
-        t = model.conv10(route_13); reference["conv10"] = t.data
-        up = F.upsample_nearest(t, 2)
-        merged = concatenate([up, route_fine], axis=1)
-        t = model.conv11(merged); reference["conv11"] = t.data
-        reference["head_fine"] = model.head_fine(t).data
-
-    return {name: float(np.max(np.abs(captured[name] - reference[name])))
+        model.graph.run(Tensor(x), model.run_node, _record_outputs(reference))
+    return {name: float(np.max(np.abs(captured[name] - reference[name].data)))
             for name in reference}

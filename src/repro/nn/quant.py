@@ -13,13 +13,14 @@ Scheme (symmetric, no zero points):
 
 * **Activations** — per-tensor scale ``a = amax/127`` from a calibration
   pass: :func:`calibrate_detector` runs N representative frames through
-  the *lowered fp* graph and records each conv input's absolute range
-  through the plan ``tap`` hook (max, or an optional percentile clip).
+  the *lowered fp* graph and records each weighted node's input range
+  through the plan ``hook`` (max, or an optional percentile clip).
   Runtime values outside the calibrated range saturate at ±127.
 * **Weights** — per-output-channel scale ``w[oc] = amax_oc/127`` over the
   BN-folded weights, so folding and quantization compose.
-* **Layers** — ``conv1``…``conv11`` run int8; the two regression heads
-  stay fp (they are 1×1 and cheap, and head error moves boxes directly).
+* **Layers** — every ``conv`` node of the graph table runs int8; the
+  ``head`` nodes stay fp (they are 1×1 and cheap, and head error moves
+  boxes directly).
 
 Exact int8 GEMM on a BLAS-only substrate
 ----------------------------------------
@@ -38,10 +39,10 @@ at spec build time.
 
 The executors plug into the lowering plan machinery unchanged:
 :class:`QuantizedDetector` subclasses
-:class:`~repro.nn.lowering.CompiledDetector` and passes its own per-layer
-executor to the shared :class:`~repro.nn.lowering._Plan` — pools,
-upsample, concat, topology, plan caching and the pre-sized-buffer
-workspace are the same code the fp path runs.
+:class:`~repro.nn.lowering.CompiledDetector` and names its own ``conv``
+executor for the shared :class:`~repro.nn.lowering._Plan` — the graph
+table and its interpreter, heads, pools, upsample, concat, plan caching
+and the pre-sized-buffer workspace are the same code the fp path runs.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .functional import ConvWorkspace
-from .lowering import (_BLOCK_NAMES, _HEAD_NAMES, _ConvExec, CompiledDetector,
-                       FusedConvSpec)
+from .lowering import CompiledDetector, FusedConvSpec, _record_outputs
 from .serialization import state_digest
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "calibrate_detector",
     "QuantConvSpec",
     "QuantizedDetector",
-    "quantize_detector",
     "resolve_inference_model",
     "activation_error_stats",
     "quant_runtime_totals",
@@ -97,7 +96,7 @@ class QuantizationError(RuntimeError):
 # ----------------------------------------------------------------------
 
 class ActivationObserver:
-    """Running per-layer absolute-range recorder (the plan ``tap`` target).
+    """Running per-layer input-range recorder (a plan ``hook``).
 
     ``percentile=100`` records the exact running max of ``|x|``; lower
     values clip each batch's range to that percentile of ``|x|`` before
@@ -111,9 +110,9 @@ class ActivationObserver:
                 f"calibration percentile must be in (0, 100], got {percentile}")
         self.percentile = float(percentile)
         self.ranges: Dict[str, float] = {}
-        self.batches = 0
 
-    def __call__(self, name: str, value: np.ndarray) -> None:
+    def __call__(self, name: str, value: np.ndarray,
+                 output: np.ndarray) -> None:
         mag = np.abs(value)
         if self.percentile >= 100.0:
             amax = float(np.max(mag))
@@ -206,8 +205,7 @@ def calibrate_detector(model, frames: np.ndarray, *,
     if batch_size < 1:
         raise QuantizationError(f"batch_size must be ≥ 1, got {batch_size}")
     for start in range(0, len(data), batch_size):
-        lowered.forward_arrays(data[start:start + batch_size], tap=observer)
-        observer.batches += 1
+        lowered.forward_arrays(data[start:start + batch_size], hook=observer)
     return CalibrationResult(observer.ranges, frames=len(data),
                              percentile=percentile)
 
@@ -302,13 +300,12 @@ class _QuantConvExec:
     """
 
     __slots__ = ("spec", "ws", "out", "tmp", "qf", "xq", "cols", "colsf",
-                 "acc", "parti", "in_shape", "one_by_one")
+                 "acc", "parti", "one_by_one")
 
     def __init__(self, spec: QuantConvSpec, in_shape: Tuple[int, ...],
                  ws: ConvWorkspace):
         self.spec = spec
         self.ws = ws
-        self.in_shape = in_shape
         n, c, h, w = in_shape
         k, p, s = spec.kernel, spec.padding, spec.stride
         out_h = (h + 2 * p - k) // s + 1
@@ -393,14 +390,6 @@ class _QuantConvExec:
         return out
 
 
-def _quant_conv_exec(spec, in_shape, ws):
-    """Executor dispatch for the mixed-precision plan: int8 specs get the
-    quantized executor, fp specs (the regression heads) the lowered one."""
-    if isinstance(spec, QuantConvSpec):
-        return _QuantConvExec(spec, in_shape, ws)
-    return _ConvExec(spec, in_shape, ws)
-
-
 # ----------------------------------------------------------------------
 # The quantized detector
 # ----------------------------------------------------------------------
@@ -413,15 +402,15 @@ _QUANT_REGISTRY: "weakref.WeakSet[QuantizedDetector]" = weakref.WeakSet()
 class QuantizedDetector(CompiledDetector):
     """Int8-quantized view of a frozen :class:`TinyYolo`.
 
-    ``conv1``…``conv11`` run the int8 executor; the regression heads stay
-    fp. Shares the plan cache / workspace / topology machinery with
+    The graph's ``conv`` nodes run the int8 executor; its ``head`` nodes
+    stay fp. Shares the plan cache / workspace / graph machinery with
     :class:`~repro.nn.lowering.LoweredDetector` through
     :class:`~repro.nn.lowering.CompiledDetector` — the only difference is
-    the per-layer executor family and the quantized specs.
+    the ``conv`` executor family and the quantized specs.
     """
 
     kind = "int8"
-    conv_exec = staticmethod(_quant_conv_exec)
+    conv_exec = _QuantConvExec
 
     def __init__(self, model, calibration: CalibrationResult,
                  debug: bool = False):
@@ -431,7 +420,7 @@ class QuantizedDetector(CompiledDetector):
                 "calibrate_detector(model, frames) (or TinyYolo.quantize("
                 "calibration_frames)) first; got "
                 f"{type(calibration).__name__}")
-        missing = [name for name in _BLOCK_NAMES
+        missing = [name for name in model.graph.names("conv")
                    if name not in calibration.ranges]
         if missing:
             raise QuantizationError(
@@ -439,12 +428,9 @@ class QuantizedDetector(CompiledDetector):
                 "it was recorded against a different graph")
         super().__init__(model, debug=debug)
         self.calibration = calibration
-        for name in _BLOCK_NAMES:
-            fused = FusedConvSpec.from_block(name, getattr(model, name))
-            self.specs[name] = QuantConvSpec(fused, calibration.ranges[name])
-        for name in _HEAD_NAMES:
-            self.specs[name] = FusedConvSpec.from_conv(name,
-                                                       getattr(model, name))
+        for name in self.graph.names("conv"):
+            self.specs[name] = QuantConvSpec(self.specs[name],
+                                             calibration.ranges[name])
         with _QUANT_LOCK:
             _QUANT_REGISTRY.add(self)
 
@@ -453,7 +439,7 @@ class QuantizedDetector(CompiledDetector):
         """Digest-stable quantized state: calibration payload + per-layer
         weight scales (``repro.nn.serialization.save_state`` compatible)."""
         state = self.calibration.to_state()
-        for name in _BLOCK_NAMES:
+        for name in self.graph.names("conv"):
             state[f"w_scale:{name}"] = np.ascontiguousarray(
                 self.specs[name].w_scale)
         return state
@@ -463,7 +449,7 @@ class QuantizedDetector(CompiledDetector):
 
     # -- probes ----------------------------------------------------------
     def stats(self) -> dict:
-        specs = [self.specs[name] for name in _BLOCK_NAMES]
+        specs = [self.specs[name] for name in self.graph.names("conv")]
         ranges = [spec.a_scale * INT8_QMAX for spec in specs]
         return {
             "plans": len(self._plans),
@@ -474,13 +460,6 @@ class QuantizedDetector(CompiledDetector):
             "act_range_max": float(max(ranges)),
             "act_range_mean": float(sum(ranges) / len(ranges)),
         }
-
-
-def quantize_detector(model, calibration: CalibrationResult,
-                      debug: bool = False) -> QuantizedDetector:
-    """One-shot quantization pass (the function behind ``TinyYolo.quantize``
-    when a :class:`CalibrationResult` is already in hand)."""
-    return QuantizedDetector(model, calibration, debug=debug)
 
 
 def resolve_inference_model(model, precision: str = "fp",
@@ -502,7 +481,7 @@ def resolve_inference_model(model, precision: str = "fp",
                 "CalibrationResult (from calibrate_detector(model, frames)) "
                 "— quantizing without calibrated activation ranges would "
                 "silently fabricate scales")
-        return quantize_detector(model, calibration, debug=debug)
+        return QuantizedDetector(model, calibration, debug=debug)
     if precision != "fp":
         raise ValueError(
             f"precision must be 'fp' or 'int8', got {precision!r}")
@@ -550,8 +529,9 @@ def activation_error_stats(reference, quantized, frames: np.ndarray,
                            batch_size: int = 8) -> Dict[str, Dict[str, float]]:
     """Per-layer activation error of the int8 path vs the fp reference.
 
-    Runs both compiled detectors on the same frames with output capture
-    and returns ``{layer: {max_abs, mean_abs, max_rel}}`` where ``max_rel``
+    Runs both compiled detectors on the same frames, recording every
+    weighted node's output through the plan hook, and returns
+    ``{layer: {max_abs, mean_abs, max_rel}}`` where ``max_rel``
     normalizes by the reference layer's absolute peak. This is the
     per-layer half of the accuracy budget the bench phase records (the
     other half is end-to-end PWC/CWC deltas).
@@ -565,8 +545,8 @@ def activation_error_stats(reference, quantized, frames: np.ndarray,
         batch = data[start:start + batch_size]
         ref_capture: Dict[str, np.ndarray] = {}
         q_capture: Dict[str, np.ndarray] = {}
-        reference.forward_arrays(batch, capture=ref_capture)
-        quantized.forward_arrays(batch, capture=q_capture)
+        reference.forward_arrays(batch, hook=_record_outputs(ref_capture))
+        quantized.forward_arrays(batch, hook=_record_outputs(q_capture))
         for name, ref in ref_capture.items():
             delta = np.abs(q_capture[name] - ref)
             peak = float(np.max(np.abs(ref)))

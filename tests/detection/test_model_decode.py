@@ -12,6 +12,16 @@ from repro.detection import (
     reduced_config,
 )
 from repro.nn import Tensor, no_grad
+from repro.nn.serialization import state_digest
+
+
+#: ``named_parameters()`` order. It fixes the seeded RNG draws and the keys
+#: of every saved checkpoint, so it must never change.
+_LAYERS = [f"conv{i}" for i in range(1, 10)] + ["head_coarse", "conv10", "conv11", "head_fine"]
+PARAMETER_ORDER = tuple(
+    f"{layer}.{param}" for layer in _LAYERS
+    for param in (("weight", "bias") if layer.startswith("head")
+                  else ("conv.weight", "bn.gamma", "bn.beta")))
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +93,15 @@ class TestModel:
         per_anchor = 5 + small_model.config.num_classes
         bias = small_model.head_coarse.bias.data.reshape(3, per_anchor)
         assert (bias[:, 4] < -2).all()
+
+    @pytest.mark.parametrize("input_size, width, seed, digest", [
+        (64, 0.25, 0, "2e972cdb6bcd9704c293b24ec3c70f20cb8c45f0c1c05b1d545f0ce7f80202d7"),
+        (96, 0.5, 7, "6fcaa1a6b1f4afcf69047280196b4105bb622e4471789fb1165237a1faf53c5c"),
+    ])
+    def test_seeded_construction_is_pinned(self, input_size, width, seed, digest):
+        model = TinyYolo(reduced_config(input_size, width), seed=seed)
+        assert tuple(name for name, _ in model.named_parameters()) == PARAMETER_ORDER
+        assert state_digest(model.state_dict()) == digest
 
     def test_gradients_reach_input(self):
         model = TinyYolo(reduced_config(input_size=64, width_multiplier=0.25), seed=1)

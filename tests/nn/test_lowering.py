@@ -29,43 +29,21 @@ from repro.nn import (
 
 pytestmark = pytest.mark.lowered
 
-_BLOCKS = ("conv1", "conv2", "conv3", "conv4", "conv5", "conv6",
-           "conv7", "conv8", "conv9", "conv10", "conv11")
-
-
-def make_model(input_size=64, width=0.25, seed=0, stats_seed=1):
-    """A detector with *non-trivial* BN running statistics.
-
-    Fresh models have running_mean=0 / running_var=1, which makes BN
-    folding nearly a no-op; parity against that would prove nothing.
-    Randomized statistics exercise the actual fold arithmetic.
-    """
-    model = TinyYolo(reduced_config(input_size=input_size,
-                                    width_multiplier=width), seed=seed)
-    rng = np.random.default_rng(stats_seed)
-    for name in _BLOCKS:
-        bn = getattr(model, name).bn
-        bn.running_mean[:] = rng.normal(
-            0, 0.05, bn.running_mean.shape).astype(np.float32)
-        bn.running_var[:] = (
-            1.0 + rng.random(bn.running_var.shape) * 0.5).astype(np.float32)
-    return model.eval()
-
-
 class TestLayerParity:
     @pytest.mark.parametrize("width", [0.25, 0.5])
     @pytest.mark.parametrize("input_size", [32, 64])
-    def test_per_layer_delta_within_tolerance(self, input_size, width):
+    def test_per_layer_delta_within_tolerance(self, make_model, input_size, width):
         model = make_model(input_size=input_size, width=width)
         lowered = model.lower(debug=True)
         x = np.random.default_rng(2).random(
             (4, 3, input_size, input_size)).astype(np.float32)
         deltas = layer_parity(model, lowered, x)
-        assert set(deltas) >= set(_BLOCKS) | {"head_coarse", "head_fine"}
+        assert set(deltas) == set(model.graph.names("conv")
+                                  + model.graph.names("head"))
         for name, delta in deltas.items():
             assert delta <= LOWERING_ATOL, (name, delta)
 
-    def test_forward_contract_matches_reference_heads(self):
+    def test_forward_contract_matches_reference_heads(self, make_model):
         model = make_model()
         lowered = model.lower()
         x = np.random.default_rng(3).random((2, 3, 64, 64)).astype(np.float32)
@@ -79,7 +57,7 @@ class TestLayerParity:
         np.testing.assert_allclose(fine.data, ref_fine.data,
                                    atol=LOWERING_ATOL)
 
-    def test_repeated_forwards_are_deterministic(self):
+    def test_repeated_forwards_are_deterministic(self, make_model):
         # Plan buffers are reused across calls; a leaked view or an
         # unwritten region would make the second call differ.
         lowered = make_model().lower()
@@ -90,7 +68,7 @@ class TestLayerParity:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
-    def test_plans_cached_per_batch_shape(self):
+    def test_plans_cached_per_batch_shape(self, make_model):
         lowered = make_model().lower()
         lowered.forward_arrays(np.zeros((1, 3, 64, 64), np.float32))
         lowered.forward_arrays(np.zeros((1, 3, 64, 64), np.float32))
@@ -99,7 +77,7 @@ class TestLayerParity:
 
 
 class TestTraceIdentity:
-    def test_pipeline_traces_identical_on_bench_scenario(self):
+    def test_pipeline_traces_identical_on_bench_scenario(self, make_model):
         """The bench oracle, in the default suite: a lowered AvPipeline
         must produce behaviourally identical frame traces — detections,
         confirmations, planner actions — on the bench-style video."""
@@ -122,7 +100,7 @@ class TestTraceIdentity:
             assert ([(c.track_id, c.class_id) for c in ref.confirmed]
                     == [(c.track_id, c.class_id) for c in low.confirmed])
 
-    def test_checkpoint_load_lower_detect_round_trip(self, tmp_path):
+    def test_checkpoint_load_lower_detect_round_trip(self, make_model, tmp_path):
         trained = make_model(stats_seed=7)
         path = os.path.join(tmp_path, "detector.npz")
         save_module(trained, path)
@@ -146,36 +124,36 @@ class TestTraceIdentity:
 
 
 class TestGuards:
-    def test_lowering_training_model_raises(self):
+    def test_lowering_training_model_raises(self, make_model):
         model = make_model().train()
         with pytest.raises(RuntimeError, match="eval"):
             model.lower()
 
-    def test_grad_tracked_input_raises(self):
+    def test_grad_tracked_input_raises(self, make_model):
         lowered = make_model().lower()
         x = Tensor(np.zeros((1, 3, 64, 64), np.float32), requires_grad=True)
         with pytest.raises(RuntimeError, match="inference-only"):
             lowered(x)
 
-    def test_grad_tracked_input_allowed_under_no_grad(self):
+    def test_grad_tracked_input_allowed_under_no_grad(self, make_model):
         lowered = make_model().lower()
         x = Tensor(np.zeros((1, 3, 64, 64), np.float32), requires_grad=True)
         with no_grad():
             coarse, fine = lowered(x)
         assert not coarse.requires_grad and not fine.requires_grad
 
-    def test_train_mode_raises(self):
+    def test_train_mode_raises(self, make_model):
         lowered = make_model().lower()
         with pytest.raises(RuntimeError, match="inference-only"):
             lowered.train()
         assert lowered.eval() is lowered  # eval is a no-op, not an error
 
-    def test_wrong_spatial_size_raises(self):
+    def test_wrong_spatial_size_raises(self, make_model):
         lowered = make_model().lower()
         with pytest.raises(ValueError, match="spatial"):
             lowered(np.zeros((1, 3, 32, 32), np.float32))
 
-    def test_folded_weights_are_copies(self):
+    def test_folded_weights_are_copies(self, make_model):
         model = make_model()
         lowered = model.lower()
         x = np.random.default_rng(6).random((1, 3, 64, 64)).astype(np.float32)
@@ -184,7 +162,7 @@ class TestGuards:
         after = lowered.forward_arrays(x)[0]
         np.testing.assert_array_equal(before, after)
 
-    def test_debug_mode_runs_clean_under_aliasing_guard(self):
+    def test_debug_mode_runs_clean_under_aliasing_guard(self, make_model):
         # The plan executor itself must respect the pad aliasing rule it
         # is built on — debug mode would raise on any violation.
         lowered = make_model().lower(debug=True)

@@ -22,7 +22,6 @@ from repro.nn import (
     activation_error_stats,
     calibrate_detector,
     quant_runtime_totals,
-    quantize_detector,
     resolve_inference_model,
     save_module,
 )
@@ -40,35 +39,16 @@ from repro.nn.serialization import load_state, save_state
 
 pytestmark = pytest.mark.quant
 
-_BLOCKS = ("conv1", "conv2", "conv3", "conv4", "conv5", "conv6",
-           "conv7", "conv8", "conv9", "conv10", "conv11")
-
-
-def make_model(input_size=64, width=0.25, seed=0, stats_seed=1):
-    """Detector with non-trivial BN running statistics (as in the
-    lowering suite: fresh-model statistics would make folding — and the
-    fold→quantize composition — nearly a no-op)."""
-    model = TinyYolo(reduced_config(input_size=input_size,
-                                    width_multiplier=width), seed=seed)
-    rng = np.random.default_rng(stats_seed)
-    for name in _BLOCKS:
-        bn = getattr(model, name).bn
-        bn.running_mean[:] = rng.normal(
-            0, 0.05, bn.running_mean.shape).astype(np.float32)
-        bn.running_var[:] = (
-            1.0 + rng.random(bn.running_var.shape) * 0.5).astype(np.float32)
-    return model.eval()
-
-
 def make_frames(n=8, input_size=64, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random((n, 3, input_size, input_size)).astype(np.float32)
 
 
-def quantized_pair(seed=0, stats_seed=1):
-    model = make_model(seed=seed, stats_seed=stats_seed)
+@pytest.fixture
+def quantized_pair(make_model):
+    model = make_model()
     calibration = calibrate_detector(model, make_frames())
-    return model, quantize_detector(model, calibration)
+    return model, QuantizedDetector(model, calibration)
 
 
 # ----------------------------------------------------------------------
@@ -76,24 +56,24 @@ def quantized_pair(seed=0, stats_seed=1):
 # ----------------------------------------------------------------------
 
 class TestCalibrationDeterminism:
-    def test_same_frames_give_byte_identical_scales(self):
+    def test_same_frames_give_byte_identical_scales(self, make_model):
         frames = make_frames()
         results = []
         for _ in range(2):
             model = make_model()
             calibration = calibrate_detector(model, frames)
-            quantized = quantize_detector(model, calibration)
+            quantized = QuantizedDetector(model, calibration)
             results.append((calibration, quantized))
         (cal_a, q_a), (cal_b, q_b) = results
         assert cal_a.ranges == cal_b.ranges
         assert cal_a == cal_b
         assert cal_a.digest() == cal_b.digest()
-        for name in _BLOCKS:
+        for name in model.graph.names("conv"):
             assert (q_a.specs[name].w_scale.tobytes()
                     == q_b.specs[name].w_scale.tobytes())
         assert q_a.quant_digest() == q_b.quant_digest()
 
-    def test_same_calibration_gives_identical_detections(self):
+    def test_same_calibration_gives_identical_detections(self, make_model):
         frames = make_frames()
         x = make_frames(n=4, seed=9)
         outputs = []
@@ -104,8 +84,8 @@ class TestCalibrationDeterminism:
         for a, b in zip(*outputs):
             np.testing.assert_array_equal(a, b)
 
-    def test_repeated_forwards_reuse_buffers_deterministically(self):
-        _, quantized = quantized_pair()
+    def test_repeated_forwards_reuse_buffers_deterministically(self, quantized_pair):
+        _, quantized = quantized_pair
         x = make_frames(n=3, seed=4)
         first = [a.copy() for a in quantized.forward_arrays(x)]
         quantized.forward_arrays(np.zeros_like(x))  # dirty the buffers
@@ -113,7 +93,7 @@ class TestCalibrationDeterminism:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
-    def test_batch_size_does_not_change_calibration(self):
+    def test_batch_size_does_not_change_calibration(self, make_model):
         model = make_model()
         frames = make_frames(n=8)
         a = calibrate_detector(model, frames, batch_size=8)
@@ -194,12 +174,12 @@ class TestExactChunkedGemm:
 # ----------------------------------------------------------------------
 
 class TestScaleGuards:
-    def test_all_zero_activations_keep_positive_scales(self):
+    def test_all_zero_activations_keep_positive_scales(self, make_model):
         model = make_model()
         calibration = calibrate_detector(
             model, np.zeros((2, 3, 64, 64), np.float32))
-        quantized = quantize_detector(model, calibration)
-        for name in _BLOCKS:
+        quantized = QuantizedDetector(model, calibration)
+        for name in model.graph.names("conv"):
             spec = quantized.specs[name]
             assert spec.a_scale > 0 and np.isfinite(spec.a_scale)
             assert np.all(spec.w_scale > 0)
@@ -208,7 +188,7 @@ class TestScaleGuards:
             np.zeros((1, 3, 64, 64), np.float32))
         assert np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))
 
-    def test_constant_activation_channels_stay_finite(self):
+    def test_constant_activation_channels_stay_finite(self, make_model):
         model = make_model()
         frames = np.full((2, 3, 64, 64), 0.5, np.float32)
         quantized = model.quantize(frames)
@@ -246,39 +226,39 @@ class TestScaleGuards:
 
 
 class TestMissingCalibrationErrors:
-    def test_quantize_without_anything_raises(self):
+    def test_quantize_without_anything_raises(self, make_model):
         with pytest.raises(QuantizationError, match="calibration"):
             make_model().quantize()
 
-    def test_resolve_int8_without_calibration_raises(self):
+    def test_resolve_int8_without_calibration_raises(self, make_model):
         with pytest.raises(QuantizationError, match="requires calibration"):
             resolve_inference_model(make_model(), precision="int8")
 
-    def test_resolve_rejects_unknown_precision(self):
+    def test_resolve_rejects_unknown_precision(self, make_model):
         with pytest.raises(ValueError, match="precision"):
             resolve_inference_model(make_model(), precision="int4")
 
-    def test_pipeline_int8_without_calibration_raises(self):
+    def test_pipeline_int8_without_calibration_raises(self, make_model):
         with pytest.raises(QuantizationError, match="requires calibration"):
             AvPipeline(make_model(), precision="int8")
 
-    def test_calibration_from_different_graph_raises(self):
+    def test_calibration_from_different_graph_raises(self, make_model):
         partial = CalibrationResult({"conv1": 1.0}, frames=2, percentile=100.0)
         with pytest.raises(QuantizationError, match="missing activation"):
-            quantize_detector(make_model(), partial)
+            QuantizedDetector(make_model(), partial)
 
-    def test_training_mode_model_refuses_to_quantize(self):
+    def test_training_mode_model_refuses_to_quantize(self, make_model):
         model = make_model()
         calibration = calibrate_detector(model, make_frames(n=2))
         model.train()
         with pytest.raises(RuntimeError, match="eval"):
-            quantize_detector(model, calibration)
+            QuantizedDetector(model, calibration)
 
     def test_observer_rejects_bad_percentile(self):
         with pytest.raises(QuantizationError, match="percentile"):
             ActivationObserver(percentile=0.0)
 
-    def test_empty_calibration_frames_raise(self):
+    def test_empty_calibration_frames_raise(self, make_model):
         with pytest.raises(QuantizationError, match="non-empty"):
             calibrate_detector(make_model(),
                                np.zeros((0, 3, 64, 64), np.float32))
@@ -289,13 +269,13 @@ class TestMissingCalibrationErrors:
 # ----------------------------------------------------------------------
 
 class TestInferenceOnly:
-    def test_train_mode_raises(self):
-        _, quantized = quantized_pair()
+    def test_train_mode_raises(self, quantized_pair):
+        _, quantized = quantized_pair
         with pytest.raises(RuntimeError, match="inference-only"):
             quantized.train()
 
-    def test_grad_tracked_input_raises(self):
-        _, quantized = quantized_pair()
+    def test_grad_tracked_input_raises(self, quantized_pair):
+        _, quantized = quantized_pair
         x = Tensor(np.zeros((1, 3, 64, 64), np.float32), requires_grad=True)
         with pytest.raises(RuntimeError, match="inference-only"):
             quantized(x)
@@ -306,7 +286,7 @@ class TestInferenceOnly:
 # ----------------------------------------------------------------------
 
 class TestRoundTrips:
-    def test_load_quantize_detect_from_checkpoint(self, tmp_path):
+    def test_load_quantize_detect_from_checkpoint(self, make_model, tmp_path):
         model = make_model()
         frames = make_frames()
         path = str(tmp_path / "det.npz")
@@ -324,7 +304,7 @@ class TestRoundTrips:
                         reference.forward_arrays(x)):
             np.testing.assert_array_equal(a, b)
 
-    def test_calibration_state_round_trip_is_digest_stable(self, tmp_path):
+    def test_calibration_state_round_trip_is_digest_stable(self, make_model, tmp_path):
         model = make_model()
         calibration = calibrate_detector(model, make_frames())
         path = str(tmp_path / "calib.npz")
@@ -333,18 +313,18 @@ class TestRoundTrips:
         assert restored == calibration
         assert restored.digest() == calibration.digest() == saved_digest
         # Quantizing from the restored ranges reproduces the detector.
-        a = quantize_detector(model, calibration)
-        b = quantize_detector(model, restored)
+        a = QuantizedDetector(model, calibration)
+        b = QuantizedDetector(model, restored)
         assert a.quant_digest() == b.quant_digest()
 
-    def test_quant_state_serializes_via_serialization(self, tmp_path):
-        _, quantized = quantized_pair()
+    def test_quant_state_serializes_via_serialization(self, quantized_pair, tmp_path):
+        _, quantized = quantized_pair
         path = str(tmp_path / "quant.npz")
         save_state(path, quantized.quant_state())
         restored = load_state(path)
         assert CalibrationResult.from_state(restored).ranges \
             == quantized.calibration.ranges
-        for name in _BLOCKS:
+        for name in quantized.graph.names("conv"):
             np.testing.assert_array_equal(restored[f"w_scale:{name}"],
                                           quantized.specs[name].w_scale)
 
@@ -358,15 +338,16 @@ class TestRoundTrips:
 # ----------------------------------------------------------------------
 
 class TestAccuracyAndIntegration:
-    def test_per_layer_relative_error_is_small(self):
-        model, quantized = quantized_pair()
+    def test_per_layer_relative_error_is_small(self, quantized_pair):
+        model, quantized = quantized_pair
         errors = activation_error_stats(model.lower(), quantized,
                                         make_frames(n=4, seed=3))
-        assert set(errors) >= set(_BLOCKS)
+        assert set(errors) == set(model.graph.names("conv")
+                                  + model.graph.names("head"))
         for name, entry in errors.items():
             assert entry["max_rel"] < 0.15, (name, entry)
 
-    def test_quantized_pipeline_runs_and_is_deterministic(self):
+    def test_quantized_pipeline_runs_and_is_deterministic(self, make_model):
         model = make_model()
         calibration = calibrate_detector(model, make_frames())
         frames = [f for f in make_frames(n=6, seed=11)]
@@ -381,7 +362,7 @@ class TestAccuracyAndIntegration:
                  tuple(d.class_id for d in t.detections)) for t in traces])
         assert runs[0] == runs[1]
 
-    def test_percentile_clip_tightens_ranges(self):
+    def test_percentile_clip_tightens_ranges(self, make_model):
         model = make_model()
         frames = make_frames()
         full = calibrate_detector(model, frames, percentile=100.0)
@@ -390,7 +371,7 @@ class TestAccuracyAndIntegration:
                    for k in full.ranges)
         assert any(clipped.ranges[k] < full.ranges[k] for k in full.ranges)
 
-    def test_run_challenge_precision_knob(self):
+    def test_run_challenge_precision_knob(self, make_model):
         from repro.eval.protocol import run_challenge
         from repro.scene.video import AttackScenario
         model = make_model()
@@ -413,23 +394,23 @@ class TestAccuracyAndIntegration:
 # ----------------------------------------------------------------------
 
 class TestQuantProbe:
-    def test_probe_counts_epilogues_and_plans(self):
+    def test_probe_counts_epilogues_and_plans(self, make_model):
         before = quant_runtime_totals()
-        _, quantized = quantized_pair()
+        quantized = make_model().quantize(make_frames())
         quantized.forward_arrays(make_frames(n=2, seed=6))
         quantized.forward_arrays(make_frames(n=2, seed=7))
         after = quant_runtime_totals()
         assert after["detectors"] >= before["detectors"] + 1
         assert after["epilogue_runs"] >= before["epilogue_runs"] + 2 * len(
-            _BLOCKS)
+            quantized.graph.names("conv"))
         assert after["gemm_chunks"] >= after["epilogue_runs"]
         assert after["act_range_max"] > 0
         assert all(isinstance(v, (int, float)) for v in after.values())
 
-    def test_stats_shape(self):
-        _, quantized = quantized_pair()
+    def test_stats_shape(self, quantized_pair):
+        _, quantized = quantized_pair
         stats = quantized.stats()
-        assert stats["layers_int8"] == len(_BLOCKS)
+        assert stats["layers_int8"] == len(quantized.graph.names("conv"))
         assert stats["act_range_min"] > 0
         assert stats["act_range_min"] <= stats["act_range_mean"] \
             <= stats["act_range_max"]
