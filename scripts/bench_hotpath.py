@@ -33,7 +33,13 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_hotpath.py              # write report
     PYTHONPATH=src python scripts/bench_hotpath.py --check      # regression gate
-    PYTHONPATH=src python scripts/bench_hotpath.py --layers     # per-layer table
+    PYTHONPATH=src python scripts/bench_hotpath.py --layers     # per-layer tables
+
+``--layers`` adds three per-layer timing tables: the autodiff
+``TinyYolo`` modules (``LayerProfiler``, nested times) and every graph
+node of the lowered and int8 plans (self time per node, from a
+``_Plan._run_node`` shim set on each plan instance for one run over the
+bench video).
 """
 
 from __future__ import annotations
@@ -174,7 +180,7 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
     pipeline = build_pipeline(args)
     frames = make_video(args)
 
-    # Warm up caches (decode constants, einsum paths, BLAS threads).
+    # Warm up caches (decode constants, workspace buffers, BLAS threads).
     pipeline.run(frames[: min(4, len(frames))], batch_size=args.batch_size)
 
     pipeline.reset()
@@ -330,7 +336,62 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
             {"layer": name, "seconds": round(seconds, 6), "calls": calls}
             for name, seconds, calls in profiler.table()
         ]
+        payload["lowered"]["layers"] = plan_layer_table(
+            lowered_pipeline, frames, args.batch_size)
+        payload["quant"]["layers"] = plan_layer_table(
+            quant_pipeline, frames, args.batch_size)
     return payload
+
+
+def plan_layer_table(pipeline: AvPipeline, frames: list,
+                     batch_size: int) -> list:
+    """Per-node time of a compiled pipeline's plans over one run.
+
+    The graph interpreter calls ``_Plan._run_node`` once per node, so a
+    timing shim set on each cached plan instance (and removed after the
+    run) sees every node of every forward. Plan nodes do not nest: each
+    row is self time. Rows come in graph order.
+    """
+    detector = pipeline.infer_model
+    totals = {node.name: [0.0, 0] for node in detector.graph.nodes}
+    plans = list(detector._plans.values())
+
+    def timed(run_node):
+        def run(node, *inputs):
+            start = time.perf_counter()
+            out = run_node(node, *inputs)
+            entry = totals[node.name]
+            entry[0] += time.perf_counter() - start
+            entry[1] += 1
+            return out
+        return run
+
+    for plan in plans:
+        plan._run_node = timed(plan._run_node)
+    try:
+        pipeline.run(frames, batch_size=batch_size)
+    finally:
+        for plan in plans:
+            del plan._run_node
+    return [{"layer": name, "seconds": round(seconds, 6), "calls": calls}
+            for name, (seconds, calls) in totals.items()]
+
+
+def print_plan_layers(payload: dict, batch_size: int) -> None:
+    """The lowered and int8 per-node tables side by side: ms per forward
+    and each node's share of its plan's total."""
+    tables = payload["lowered"]["layers"], payload["quant"]["layers"]
+    totals = [sum(row["seconds"] for row in table) for table in tables]
+    print(f"plan nodes, batch {batch_size}: ms per forward (share of plan)")
+    print(f"  {'node':>11}  {'lowered':>16}  {'int8':>16}")
+    for rows in zip(*tables):
+        cells = [f"{1e3 * row['seconds'] / row['calls']:7.3f} "
+                 f"({row['seconds'] / total:6.1%})"
+                 for row, total in zip(rows, totals)]
+        print(f"  {rows[0]['layer']:>11}  {cells[0]:>16}  {cells[1]:>16}")
+    cells = [f"{1e3 * total / table[0]['calls']:7.3f}"
+             for total, table in zip(totals, tables)]
+    print(f"  {'total':>11}  {cells[0]:<16}  {cells[1]:<16}")
 
 
 def check_regression(report_path: str, payload: dict) -> int:
@@ -421,7 +482,8 @@ def main(argv=None) -> int:
                         help="also record a repro.obs run (manifest.json + "
                              "trace.jsonl) under this directory")
     parser.add_argument("--layers", action="store_true",
-                        help="include a per-layer TinyYolo timing table")
+                        help="include per-layer timing tables: TinyYolo "
+                             "modules and the lowered and int8 plan nodes")
     parser.add_argument("--check", action="store_true",
                         help="compare against the committed report instead "
                              "of overwriting it; exit 1 on >20%% regression")
@@ -451,6 +513,8 @@ def main(argv=None) -> int:
     for name, stage in payload["perf"]["stages"].items():
         print(f"  {name:>8}: {stage['seconds']*1e3:8.1f} ms  "
               f"({stage['share']:5.1%})  {stage['calls']} calls")
+    if args.layers:
+        print_plan_layers(payload, args.batch_size)
 
     status = 0
     if args.check:

@@ -251,8 +251,8 @@ def run_overload(args: argparse.Namespace) -> dict:
 
 
 def warm_up(args: argparse.Namespace, server: DetectionServer) -> None:
-    """Pay the one-time costs (worker spawn, weight load, einsum path
-    search) outside the measured window."""
+    """Pay the one-time costs (worker spawn, weight load, plan and
+    workspace buffer allocation) outside the measured window."""
     session = server.open_session("warmup")
     frames = make_frames(args, 2 * args.max_batch, seed=args.seed + 31337)
     for future in [server.submit(session, frame) for frame in frames]:

@@ -131,7 +131,7 @@ class TinyYolo(nn.Module):
         """Compile this frozen detector for inference (DESIGN.md §13).
 
         Folds batch-norm into the conv weights, fuses the leaky-ReLU
-        epilogue, and pre-plans every buffer/einsum path per input shape.
+        epilogue, and pre-sizes every plan buffer per input shape.
         Requires eval mode; the result shares this model's ``forward``
         contract but is inference-only. Weights are folded *copies* —
         re-lower after loading a new checkpoint.

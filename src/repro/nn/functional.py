@@ -5,15 +5,20 @@ Everything here operates on :class:`repro.nn.tensor.Tensor` in NCHW layout
 gradients can flow from the YOLOv3-tiny loss through EOT warps back into the
 GAN generator.
 
-Convolutions use an im2col formulation: patches are unfolded into a matrix,
-the convolution becomes a single GEMM, and the backward pass is the
-corresponding col2im scatter. This keeps the whole stack pure numpy while
-remaining fast enough for the reduced-scale profiles used by the tests and
-benchmarks (see DESIGN.md §5).
+Convolutions use an im2col formulation: :func:`im2col` copies the k²
+strided slices of the padded input into a column matrix, the convolution
+becomes a single GEMM against it, and the backward pass is two GEMMs plus
+the corresponding :func:`col2im` scatter. The autodiff :func:`conv2d` and
+the lowered and int8 plan executors (:mod:`repro.nn.lowering`,
+:mod:`repro.nn.quant`) all run this one kernel, gathering into the
+workspace's shared column scratch. This keeps the whole stack pure numpy
+while remaining fast enough for the reduced-scale profiles used by the
+tests and benchmarks (see DESIGN.md §5).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -38,7 +43,6 @@ __all__ = [
     "conv_workspace",
     "clear_conv_workspace",
     "conv_workspace_totals",
-    "unfold_windows",
     "im2col",
     "col2im",
     "conv2d",
@@ -84,26 +88,31 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Conv workspace: reusable scratch buffers + cached einsum paths
+# Conv workspace: reusable pad buffers + one shared column scratch
 # ----------------------------------------------------------------------
 
 class ConvWorkspace:
-    """Per-process scratch-buffer and einsum-path cache for the conv path.
+    """Per-thread scratch-buffer cache for the conv path.
 
     BENCH_hotpath.json attributes ~81% of wall time to conv forwards, and
-    a meaningful slice of that is allocator traffic: every call re-pads
-    the input and re-searches the einsum contraction path. This cache
-    reuses both across calls, keyed by exact shape/dtype, with a bounded
-    LRU so pathological shape churn cannot grow it without limit.
+    a meaningful slice of that is allocator traffic: every call pads the
+    input and gathers its K²-times-larger im2col columns. Pad buffers are
+    reused across calls, keyed by exact shape/dtype, with a bounded LRU
+    so pathological shape churn cannot grow it without limit. The columns
+    of every conv, at every shape, share **one** scratch
+    (:meth:`scratch`) grown to the largest request: a compiled detector
+    holds a plan per batch size, and a column buffer per layer and shape
+    would pile up across them.
 
     Aliasing rule (load-bearing): only buffers that are **consumed
     synchronously** inside one forward/backward call may live here — the
-    pad buffer (read by einsum through a strided view, never captured by
-    a closure) and the ``grad_cols`` einsum output (read by
-    :func:`col2im` before the closure returns). Anything routed into the
-    autograd graph via ``_route`` is staged *by reference*
-    (``tensor._route``), so graph-visible arrays must stay per-call
-    allocations — which is why :func:`col2im` still allocates its output.
+    pad buffer (read by the gather), the column scratch (read by the GEMM
+    right after the gather, never captured by a closure) and the backward
+    ``grad_cols`` GEMM output (read by :func:`col2im` before the closure
+    returns). Anything routed into the autograd graph via ``_route`` is
+    staged *by reference* (``tensor._route``), so graph-visible arrays
+    must stay per-call allocations — which is why :func:`col2im` still
+    allocates its output.
 
     A single instance is not safe for concurrent use (two threads padding
     into the same cached buffer corrupt each other's windows mid-forward),
@@ -118,15 +127,16 @@ class ConvWorkspace:
     ``max_bytes`` caps the *total size* — a handful of huge pads (one
     full-scale 416² batch pad is tens of MiB) would otherwise stay pinned
     behind the count cap forever. Eviction is LRU on both axes; a single
-    buffer larger than the whole byte budget is handed out but never
-    cached.
+    buffer or scratch request larger than the whole byte budget is handed
+    out but never cached. ``buffer_bytes`` counts the scratch too.
 
-    ``debug=True`` arms the in-flight pad guard: :meth:`pad` marks its
-    buffer checked out until :meth:`pad_release`, and a second pad that
-    would alias a still-checked-out buffer raises instead of silently
-    overwriting it (the documented consume-synchronously rule). The guard
-    is for tests and the lowered-graph executor's validation mode; with
-    ``debug=False`` both methods skip all tracking.
+    ``debug=True`` arms the in-flight guards: :meth:`pad` marks its
+    buffer checked out until :meth:`pad_release` and :meth:`scratch`
+    until :meth:`scratch_release`, and a second request that would alias
+    a still-checked-out buffer raises instead of silently overwriting it
+    (the documented consume-synchronously rule). The guard is for tests
+    and the compiled executors' validation mode; with ``debug=False``
+    the release methods skip all tracking.
     """
 
     def __init__(self, max_buffers: int = 64,
@@ -141,10 +151,12 @@ class ConvWorkspace:
         self.evictions = 0
         self._bytes = 0
         self._buffers: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._paths: dict = {}
-        # Debug-mode in-flight pad tracking: key set + id(buffer) → key.
+        self._scratch = np.empty(0, np.float32)
+        # Debug-mode in-flight tracking: pad key set + id(buffer) → key,
+        # and whether the scratch is checked out.
         self._in_flight_keys: set = set()
         self._in_flight_ids: dict = {}
+        self._scratch_out = False
         with _REGISTRY_LOCK:
             _WORKSPACE_REGISTRY.add(self)
 
@@ -217,40 +229,76 @@ class ConvWorkspace:
         if key is not None:
             self._in_flight_keys.discard(key)
 
-    def einsum_path(self, subscripts: str, *ops: np.ndarray):
-        key = (subscripts,) + tuple(op.shape for op in ops)
-        path = self._paths.get(key)
-        if path is None:
-            # 'greedy' is what optimize=True resolves to, so cached and
-            # uncached calls contract in the same order (bit-identical).
-            path = np.einsum_path(subscripts, *ops, optimize="greedy")[0]
-            self._paths[key] = path
-        return path
+    def scratch(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous float32 array of ``shape`` over the shared scratch.
 
-    def einsum(self, subscripts: str, *ops: np.ndarray, out: Optional[np.ndarray] = None):
-        if not self.enabled:
-            return np.einsum(subscripts, *ops, optimize=True, out=out)
-        return np.einsum(subscripts, *ops, out=out,
-                         optimize=self.einsum_path(subscripts, *ops))
+        One flat buffer serves every request of every shape: it grows to
+        the largest request and is reused until :meth:`clear`. Contents
+        are stale — callers overwrite every element they read. A request
+        larger than ``max_bytes`` gets a fresh array, never cached.
+        """
+        size = math.prod(shape)
+        if not self.enabled or 4 * size > self.max_bytes:
+            return np.empty(shape, np.float32)
+        if self.debug:
+            if self._scratch_out:
+                raise RuntimeError(
+                    "ConvWorkspace aliasing violation: column scratch "
+                    "requested while it is still checked out — release it "
+                    "with scratch_release() first (consume-synchronously "
+                    "rule)")
+            self._scratch_out = True
+        if size > self._scratch.size:
+            self.misses += 1
+            self._scratch = np.empty(size, np.float32)
+        else:
+            self.hits += 1
+        return self._scratch[:size].reshape(shape)
+
+    def scratch_release(self, buf: np.ndarray) -> None:
+        """Mark a :meth:`scratch` array consumed (debug-mode guard only);
+        safe to call with arrays that never came from :meth:`scratch`."""
+        if self.debug and buf.base is self._scratch:
+            self._scratch_out = False
+
+    def columns(self, x: np.ndarray, kernel: int, stride: int,
+                padding: int) -> Tuple[np.ndarray, int, int]:
+        """:func:`im2col` of ``x`` through the pad cache into the scratch.
+
+        Returns ``(cols, out_h, out_w)``; pass ``cols`` to
+        :meth:`scratch_release` once the GEMM has read it. A 1×1
+        stride-1 unpadded conv gathers nothing: its columns are ``x``
+        itself, reshaped.
+        """
+        n, c, h, w = x.shape
+        if kernel == 1 and stride == 1 and padding == 0:
+            return x.reshape(n, c, h * w), h, w
+        padded = self.pad("conv", x, padding)
+        out_h = (h + 2 * padding - kernel) // stride + 1
+        out_w = (w + 2 * padding - kernel) // stride + 1
+        cols = self.scratch((n, c * kernel * kernel, out_h * out_w))
+        im2col(padded, kernel, stride, out=cols)
+        self.pad_release(padded)
+        return cols, out_h, out_w
 
     def clear(self) -> None:
-        """Drop every cached buffer and contraction path (explicit invalidation)."""
+        """Drop every cached buffer and the scratch (explicit invalidation)."""
         self._buffers.clear()
-        self._paths.clear()
+        self._scratch = np.empty(0, np.float32)
         self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self._in_flight_keys.clear()
         self._in_flight_ids.clear()
+        self._scratch_out = False
 
     def stats(self) -> dict:
         return {
             "buffers": len(self._buffers),
-            "buffer_bytes": int(self._bytes),
+            "buffer_bytes": int(self._bytes + self._scratch.nbytes),
             "max_bytes": int(self.max_bytes),
             "evictions": self.evictions,
-            "paths": len(self._paths),
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -284,8 +332,8 @@ def conv_workspace_totals() -> dict:
     """Aggregate stats over every live workspace in this process.
 
     Live-telemetry probe target (``LiveTelemetry.add_probe``): flat
-    scalars summing buffer count/bytes, path count and hit/miss/eviction
-    counters across all threads' workspaces (including any
+    scalars summing buffer count, bytes (column scratch included) and
+    hit/miss/eviction counters across all threads' workspaces (including any
     lowered-detector plan caches). Counter reads race benignly with the
     owning threads — probes want a cheap order-of-magnitude snapshot,
     not a barrier.
@@ -293,14 +341,13 @@ def conv_workspace_totals() -> dict:
     with _REGISTRY_LOCK:
         workspaces = list(_WORKSPACE_REGISTRY)
     totals = {"workspaces": len(workspaces), "buffers": 0, "buffer_bytes": 0,
-              "paths": 0, "hits": 0, "misses": 0, "evictions": 0}
+              "hits": 0, "misses": 0, "evictions": 0}
     for ws in workspaces:
         try:
             stats = ws.stats()
         except RuntimeError:  # dict mutated mid-iteration on another thread
             continue
-        for key in ("buffers", "buffer_bytes", "paths", "hits", "misses",
-                    "evictions"):
+        for key in ("buffers", "buffer_bytes", "hits", "misses", "evictions"):
             totals[key] += stats[key]
     return totals
 
@@ -309,54 +356,31 @@ def conv_workspace_totals() -> dict:
 # im2col / col2im
 # ----------------------------------------------------------------------
 
-def unfold_windows(
-    x: np.ndarray, kernel: int, stride: int, padding: int
-) -> Tuple[np.ndarray, int, int]:
-    """Strided *view* of all sliding ``kernel``×``kernel`` windows.
-
-    Returns ``(windows, out_h, out_w)`` with ``windows`` shaped
-    ``(N, C, out_h, out_w, kernel, kernel)``, read-only, and backed by the
-    (padded) input — no data is materialized. einsum consumes this view
-    directly, so the K²-times-larger column matrix never needs to exist
-    as a concrete array on the forward path.
-    """
-    n, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out_h = (h + 2 * padding - kernel) // stride + 1
-    out_w = (w + 2 * padding - kernel) // stride + 1
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    return windows, out_h, out_w
-
-
 def im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
+    x: np.ndarray, kernel: int, stride: int, out: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, int, int]:
-    """Unfold sliding ``kernel``×``kernel`` windows of an NCHW array.
+    """Gather the sliding ``kernel``×``kernel`` windows of a padded NCHW
+    array into columns.
 
     Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, C * kernel * kernel, out_h * out_w)``. The reshape of the
-    transposed window view already materializes a fresh C-contiguous
-    array (except for the 1×1/stride-1 case, where it stays a view of
-    the input, which every consumer here treats as read-only).
+    ``(N, C * kernel * kernel, out_h * out_w)`` with rows in ``(c, ky,
+    kx)`` order — an ``(O, C, k, k)`` weight reshaped to ``(O, C·k·k)``
+    is its GEMM partner. The k² strided slices of ``x`` are copied into
+    ``out``, which must be C-contiguous (a :meth:`ConvWorkspace.scratch`
+    view), or into a fresh array when ``out`` is ``None``.
     """
-    windows, out_h, out_w = unfold_windows(x, kernel, stride, padding)
-    n, c = x.shape[:2]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kernel * kernel, out_h * out_w)
-    return cols, out_h, out_w
+    n, c, h, w = x.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    if out is None:
+        out = np.empty((n, c * kernel * kernel, out_h * out_w), x.dtype)
+    windows = out.reshape(n, c, kernel, kernel, out_h, out_w)
+    for ky in range(kernel):
+        y_max = ky + stride * out_h
+        for kx in range(kernel):
+            x_max = kx + stride * out_w
+            windows[:, :, ky, kx] = x[:, :, ky:y_max:stride, kx:x_max:stride]
+    return out, out_h, out_w
 
 
 def col2im(
@@ -395,7 +419,10 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution (cross-correlation) in NCHW layout.
 
-    ``weight`` has shape ``(out_channels, in_channels, k, k)``.
+    ``weight`` has shape ``(out_channels, in_channels, k, k)``. The
+    forward is the workspace's column gather plus one GEMM; backward
+    computes the weight and input gradients as GEMMs in the same column
+    layout.
     """
     x, weight = ensure_tensor(x), ensure_tensor(weight)
     n, c, h, w = x.data.shape
@@ -405,51 +432,37 @@ def conv2d(
             f"conv2d weight {weight.data.shape} incompatible with input {x.data.shape}"
         )
     ws = conv_workspace()
-    # Pad through the reusable workspace buffer, then unfold padding-free:
-    # numerically identical to unfold_windows(x, …, padding) but without a
-    # fresh np.pad allocation per call.
-    padded = ws.pad("conv", x.data, padding)
-    windows, out_h, out_w = unfold_windows(padded, kernel, stride, 0)
-    result = ws.einsum("ockl,nchwkl->nohw", weight.data, windows)
-    ws.pad_release(padded)
-    del padded
+    cols, out_h, out_w = ws.columns(x.data, kernel, stride, padding)
+    result = np.matmul(weight.data.reshape(out_c, -1), cols)
+    ws.scratch_release(cols)
+    result = result.reshape(n, out_c, out_h, out_w)
     if bias is not None:
         result += bias.data.reshape(1, -1, 1, 1)
     parents = (x, weight) + ((bias,) if bias is not None else ())
     out = _make(result, parents)
-    # `windows` must not be captured by the closure below: it pins the padded
-    # input (and historically the materialized im2col buffer, K²× the input)
-    # in memory for every conv in the graph until backward runs — and it now
-    # views a shared workspace buffer that later convs overwrite. The unfold
-    # is a pure function of x.data, so backward recomputes the view instead.
-    del windows
 
     def backward(grad, staged):
-        grad = np.asarray(grad, dtype=np.float32)
-        grad4 = grad.reshape(n, out_c, out_h, out_w)
+        grad = np.asarray(grad, dtype=np.float32).reshape(n, out_c, out_h * out_w)
         if weight.requires_grad:
-            repadded = ws.pad("conv", x.data, padding)
-            rewound = unfold_windows(repadded, kernel, stride, 0)[0]
-            grad_w = ws.einsum("nohw,nchwkl->ockl", grad4, rewound)
-            ws.pad_release(repadded)
-            _route(weight, grad_w, staged)
+            # Gathered again rather than closed over: the columns are K²×
+            # the input and live in the shared scratch, which later convs
+            # overwrite.
+            cols = ws.columns(x.data, kernel, stride, padding)[0]
+            grad_w = np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
+            ws.scratch_release(cols)
+            _route(weight, grad_w.reshape(weight.data.shape), staged)
         if x.requires_grad:
-            cols_shape = (n, c, kernel, kernel, out_h, out_w)
-            grad_cols = ws.einsum(
-                "ockl,nohw->ncklhw", weight.data, grad4,
-                out=(ws.buffer(("gradcols", cols_shape), cols_shape)
-                     if ws.enabled else None))
+            grad_cols = np.matmul(
+                weight.data.reshape(out_c, -1).T, grad,
+                out=ws.scratch((n, c * kernel * kernel, out_h * out_w)))
             # col2im reads grad_cols synchronously and allocates its own
             # output — the array handed to _route must never be a cached
             # buffer (interior grads are staged by reference).
-            _route(
-                x,
-                col2im(grad_cols.reshape(n, c * kernel * kernel, out_h * out_w),
-                       x.data.shape, kernel, stride, padding, out_h, out_w),
-                staged,
-            )
+            _route(x, col2im(grad_cols, x.data.shape, kernel, stride,
+                             padding, out_h, out_w), staged)
+            ws.scratch_release(grad_cols)
         if bias is not None and bias.requires_grad:
-            _route(bias, grad.sum(axis=(0, 2, 3)), staged)
+            _route(bias, grad.sum(axis=(0, 2)), staged)
 
     _define_backward(out, backward)
     return out
@@ -531,7 +544,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
     """Average pooling (used by the discriminator's downsampling path)."""
     x = ensure_tensor(x)
     stride = stride or kernel
-    cols, out_h, out_w = im2col(x.data, kernel, stride, 0)
+    cols, out_h, out_w = im2col(x.data, kernel, stride)
     n, c = x.data.shape[:2]
     cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
     out = _make(cols.mean(axis=2).reshape(n, c, out_h, out_w), (x,))

@@ -5,8 +5,8 @@ The inference hot path spends ~81% of its wall time in ``forward``
 batch-norm statistics, no gradients — most of the per-layer work the
 training graph does is pure overhead: batch-norm is an affine map that
 can be folded into the conv weights, the leaky-ReLU is a two-op epilogue
-that never needs its own graph node, and every buffer/einsum path can be
-resolved once instead of per call.
+that never needs its own graph node, and every buffer can be sized once
+instead of per call.
 
 :class:`LoweredDetector` (built by ``TinyYolo.lower()``) runs a one-shot
 compile pass over an eval-mode detector:
@@ -23,12 +23,13 @@ compile pass over an eval-mode detector:
 * **Plan cache** — the lowered graph owns a private
   :class:`~repro.nn.functional.ConvWorkspace` and compiles one
   :class:`_Plan` per input batch shape: one executor per node of the
-  source model's :class:`~repro.nn.graph.Graph`, pad/output/scratch
-  buffers pre-sized once, einsum contraction paths pre-resolved, 1×1
-  convs routed through a direct GEMM. Re-running the same shape does
-  zero allocation. Pads go through ``ConvWorkspace.pad`` so the
-  debug-mode in-flight guard can prove the executor never aliases a
-  live pad buffer.
+  source model's :class:`~repro.nn.graph.Graph`, output buffers
+  pre-sized once. Every conv is the shared im2col gather into the
+  workspace's column scratch plus one GEMM
+  (``ConvWorkspace.columns``); 1×1 convs skip the gather and multiply
+  their input directly. Re-running the same shape does zero allocation.
+  Pads and columns go through the workspace so the debug-mode in-flight
+  guard can prove the executor never aliases a live buffer.
 
 The result is a :class:`LoweredDetector` with the same ``forward``
 contract as :class:`~repro.detection.model.TinyYolo` — ``(coarse, fine)``
@@ -135,68 +136,39 @@ class FusedConvSpec:
 # Per-shape executors (plan entries)
 # ----------------------------------------------------------------------
 
-def _pool_windows(data: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Read-only strided view of pooling windows (no materialization)."""
-    n, c, h, w = data.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    s = data.strides
-    return np.lib.stride_tricks.as_strided(
-        data, shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
-        writeable=False)
-
-
 class _ConvExec:
-    """One fused conv at one input shape: pad → GEMM/einsum → epilogue.
+    """One fused conv at one input shape: im2col → GEMM → epilogue.
 
-    All output/scratch buffers are pre-sized through the plan's workspace
-    at build time; ``run`` allocates nothing. The pad goes through
-    ``ConvWorkspace.pad`` per call (interior rewrite of the cached
-    buffer) so the debug in-flight guard covers the executor.
+    The output buffers are pre-sized through the plan's workspace at
+    build time and the columns go through its shared scratch, so ``run``
+    allocates nothing once the scratch has grown to the largest layer.
     """
 
-    __slots__ = ("spec", "ws", "out", "tmp", "path", "one_by_one")
+    __slots__ = ("spec", "ws", "out", "tmp")
 
-    def __init__(self, spec: FusedConvSpec, in_shape: Tuple[int, ...],
+    def __init__(self, spec, in_shape: Tuple[int, ...],
                  ws: ConvWorkspace):
         self.spec = spec
         self.ws = ws
-        n, c, h, w = in_shape
+        n, _, h, w = in_shape
         k, p, s = spec.kernel, spec.padding, spec.stride
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        out_shape = (n, spec.out_channels, out_h, out_w)
-        self.out = ws.buffer(("lowered.out", spec.name, out_shape), out_shape)
-        self.tmp = (ws.buffer(("lowered.tmp", spec.name, out_shape), out_shape)
+        out_shape = (n, spec.out_channels, (h + 2 * p - k) // s + 1,
+                     (w + 2 * p - k) // s + 1)
+        self.out = ws.buffer(("conv.out", spec.name, out_shape), out_shape)
+        self.tmp = (ws.buffer(("conv.tmp", spec.name, out_shape), out_shape)
                     if spec.slope is not None else None)
-        self.one_by_one = (k == 1 and s == 1 and p == 0)
-        if self.one_by_one:
-            self.path = None
-        else:
-            # Resolve the contraction order once against a representative
-            # windows view (same shapes/strides the hot loop will use).
-            padded = ws.pad(spec.name, np.zeros(in_shape, np.float32), p)
-            windows = _pool_windows(padded, k, s)
-            self.path = ws.einsum_path("ockl,nchwkl->nohw",
-                                       spec.weight, windows)
-            ws.pad_release(padded)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         spec = self.spec
-        out = self.out
-        if self.one_by_one:
-            n, c, h, w = x.shape
-            # (O, C) @ (N, C, H·W) → (N, O, H·W): both sides are views of
-            # contiguous plan buffers, so this is one allocation-free GEMM.
-            np.matmul(spec.weight_2d, x.reshape(n, c, h * w),
-                      out=out.reshape(n, spec.out_channels, h * w))
-        else:
-            padded = self.ws.pad(spec.name, x, spec.padding)
-            windows = _pool_windows(padded, spec.kernel, spec.stride)
-            np.einsum("ockl,nchwkl->nohw", spec.weight, windows,
-                      out=out, optimize=self.path)
-            self.ws.pad_release(padded)
+        cols = self.ws.columns(x, spec.kernel, spec.stride, spec.padding)[0]
+        np.matmul(spec.weight_2d, cols,
+                  out=self.out.reshape(cols.shape[0], spec.out_channels, -1))
+        self.ws.scratch_release(cols)
+        return self.epilogue()
+
+    def epilogue(self) -> np.ndarray:
+        """Bias add and leaky ReLU, in place on the output buffer."""
+        out, spec = self.out, self.spec
         out += spec.bias_col
         if spec.slope is not None:
             # leaky(x) = max(x, slope·x) for slope < 1, fused in place.

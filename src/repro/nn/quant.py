@@ -43,6 +43,11 @@ The executors plug into the lowering plan machinery unchanged:
 executor for the shared :class:`~repro.nn.lowering._Plan` — the graph
 table and its interpreter, heads, pools, upsample, concat, plan caching
 and the pre-sized-buffer workspace are the same code the fp path runs.
+The int8 ``conv`` executor is the fp one with a quantized GEMM: the same
+im2col gather into the same column scratch, the same epilogue. That
+GEMM is the same float32 sgemm on integer-valued operands, plus a
+quantize and a dequantize pass, so where sgemm is the only fast matrix
+multiply the int8 plan is no faster than the lowered fp plan.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .functional import ConvWorkspace
-from .lowering import CompiledDetector, FusedConvSpec, _record_outputs
+from .lowering import (CompiledDetector, FusedConvSpec, _ConvExec,
+                       _record_outputs)
 from .serialization import state_digest
 
 __all__ = [
@@ -282,112 +288,71 @@ class QuantConvSpec:
         self.gemm_chunks = 0
 
 
-class _QuantConvExec:
-    """One int8 conv at one input shape: quantize → gather → sgemm → dequant.
+class _QuantConvExec(_ConvExec):
+    """One int8 conv at one input shape: quantize → im2col → sgemm → dequant.
 
-    Pipeline per call, all buffers pre-sized through the plan workspace:
+    Pipeline per call, the fp :class:`~repro.nn.lowering._ConvExec` with
+    a quantized GEMM:
 
-    1. quantize the float input in place into an int8 buffer
-       (``rint(x/a_scale)`` clipped to ±127 — saturating),
-    2. zero-pad the int8 buffer (quantized zero *is* 0: padding commutes
-       with quantization) and gather k² strided slices into int8 im2col
-       columns ``(N, K, oh·ow)`` — 4× less memory traffic than fp cols,
-    3. per ≤1024-wide K chunk: cast the column slab to float32 and sgemm
-       against the pre-split integer weight slab (exact, see module
-       docstring), reducing chunks in an int32 accumulator,
+    1. quantize the float input into a pre-sized float32 buffer as exact
+       integers (``rint(x/a_scale)`` clipped to ±127 — saturating),
+    2. pad it and gather its columns into the workspace scratch, the same
+       im2col the fp executors run (quantized zero *is* 0: padding
+       commutes with quantization); 1×1 convs multiply the quantized
+       buffer directly,
+    3. per ≤1024-row slice of the columns: sgemm against the pre-split
+       integer weight slab (exact, see module docstring), reducing
+       chunks in an int32 accumulator,
     4. fused epilogue: ``out = acc·(w_scale·a_scale) + bias`` then leaky
        ReLU, all in place on the float32 output buffer.
     """
 
-    __slots__ = ("spec", "ws", "out", "tmp", "qf", "xq", "cols", "colsf",
-                 "acc", "parti", "one_by_one")
+    __slots__ = ("qf", "acc", "parti")
 
     def __init__(self, spec: QuantConvSpec, in_shape: Tuple[int, ...],
                  ws: ConvWorkspace):
-        self.spec = spec
-        self.ws = ws
-        n, c, h, w = in_shape
-        k, p, s = spec.kernel, spec.padding, spec.stride
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        out_shape = (n, spec.out_channels, out_h, out_w)
-        name = spec.name
-        self.out = ws.buffer(("quant.out", name, out_shape), out_shape)
-        self.tmp = (ws.buffer(("quant.tmp", name, out_shape), out_shape)
-                    if spec.slope is not None else None)
-        self.qf = ws.buffer(("quant.qf", name, in_shape), in_shape)
-        self.xq = ws.buffer(("quant.xq", name, in_shape), in_shape,
-                            dtype=np.int8)
-        self.one_by_one = (k == 1 and s == 1 and p == 0)
-        ohw = out_h * out_w
-        cols_shape = (n, spec.k_total, ohw)
-        self.cols = (None if self.one_by_one else
-                     ws.buffer(("quant.cols", name, cols_shape), cols_shape,
-                               dtype=np.int8))
-        chunk = min(spec.k_total, K_CHUNK)
-        self.colsf = ws.buffer(("quant.colsf", name, (n, chunk, ohw)),
-                               (n, chunk, ohw))
+        super().__init__(spec, in_shape, ws)
+        self.qf = ws.buffer(("quant.qf", spec.name, in_shape), in_shape)
         if len(spec.weight_chunks) > 1:
-            acc_shape = (n, spec.out_channels, ohw)
-            self.acc = ws.buffer(("quant.acc", name, acc_shape), acc_shape,
-                                 dtype=np.int32)
-            self.parti = ws.buffer(("quant.parti", name, acc_shape),
+            n, o, oh, ow = self.out.shape
+            acc_shape = (n, o, oh * ow)
+            self.acc = ws.buffer(("quant.acc", spec.name, acc_shape),
+                                 acc_shape, dtype=np.int32)
+            self.parti = ws.buffer(("quant.parti", spec.name, acc_shape),
                                    acc_shape, dtype=np.int32)
         else:
             self.acc = self.parti = None
 
     def run(self, x: np.ndarray) -> np.ndarray:
         spec = self.spec
-        out = self.out
-        n, c = x.shape[0], x.shape[1]
         # 1. Quantize (saturating round-to-nearest-even, deterministic).
         qf = self.qf
         np.multiply(x, spec.inv_a_scale, out=qf)
         np.rint(qf, out=qf)
         np.clip(qf, -float(INT8_QMAX), float(INT8_QMAX), out=qf)
-        np.copyto(self.xq, qf, casting="unsafe")
-        k, s = spec.kernel, spec.stride
-        oh, ow = out.shape[2], out.shape[3]
-        # 2. int8 im2col (1×1 convs read the int8 buffer directly).
-        if self.one_by_one:
-            cols = self.xq.reshape(n, c, oh * ow)
-        else:
-            padded = self.ws.pad("quant." + spec.name, self.xq, spec.padding)
-            gather = self.cols.reshape(n, c, k, k, oh, ow)
-            for i in range(k):
-                for j in range(k):
-                    gather[:, :, i, j] = padded[:, :, i:i + s * oh:s,
-                                                j:j + s * ow:s]
-            self.ws.pad_release(padded)
-            cols = self.cols.reshape(n, spec.k_total, oh * ow)
+        # 2. im2col of the integer-valued input.
+        cols = self.ws.columns(qf, spec.kernel, spec.stride, spec.padding)[0]
         # 3. Chunked exact-integer sgemm with int32 reduction.
-        out3 = out.reshape(n, spec.out_channels, oh * ow)
+        out3 = self.out.reshape(cols.shape[0], spec.out_channels, -1)
         chunks = spec.weight_chunks
         if len(chunks) == 1:
-            np.copyto(self.colsf, cols, casting="unsafe")
-            np.matmul(chunks[0], self.colsf, out=out3)
+            np.matmul(chunks[0], cols, out=out3)
         else:
             for index, slab in enumerate(chunks):
                 k0 = index * K_CHUNK
-                width = slab.shape[1]
-                colsf = self.colsf[:, :width]
-                np.copyto(colsf, cols[:, k0:k0 + width], casting="unsafe")
-                np.matmul(slab, colsf, out=out3)
+                np.matmul(slab, cols[:, k0:k0 + slab.shape[1]], out=out3)
                 if index == 0:
                     np.copyto(self.acc, out3, casting="unsafe")
                 else:
                     np.copyto(self.parti, out3, casting="unsafe")
                     self.acc += self.parti
             np.copyto(out3, self.acc, casting="unsafe")
+        self.ws.scratch_release(cols)
         # 4. Fused dequant + bias + leaky epilogue, in place.
-        out *= spec.dequant_col
-        out += spec.bias_col
-        if spec.slope is not None:
-            np.multiply(out, spec.slope, out=self.tmp)
-            np.maximum(out, self.tmp, out=out)
+        self.out *= spec.dequant_col
         spec.runs += 1
         spec.gemm_chunks += len(chunks)
-        return out
+        return self.epilogue()
 
 
 # ----------------------------------------------------------------------

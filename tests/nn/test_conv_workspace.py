@@ -1,6 +1,7 @@
 """ConvWorkspace: bit-identical numerics, correct reuse, bounded growth,
 and per-thread isolation."""
 
+import gc
 import threading
 
 import numpy as np
@@ -104,22 +105,16 @@ class TestReuseAndInvalidation:
     def test_clear_invalidates_everything(self):
         ws = conv_workspace()
         _conv_pass(0)
-        assert ws.stats()["buffers"] > 0
-        assert ws.stats()["paths"] > 0
+        stats = ws.stats()
+        assert stats["buffers"] > 0
+        # The pass's (2, 3·3·3, 9·9) columns sit in the scratch, counted
+        # on top of the cached pad buffer.
+        assert stats["buffer_bytes"] > 2 * 27 * 81 * 4
         clear_conv_workspace()
         stats = ws.stats()
         assert stats == {"buffers": 0, "buffer_bytes": 0,
                          "max_bytes": ws.max_bytes, "evictions": 0,
-                         "paths": 0, "hits": 0, "misses": 0}
-
-    def test_distinct_shapes_get_distinct_buffers(self):
-        ws = conv_workspace()
-        _conv_pass(0)
-        buffers_small = ws.stats()["buffers"]
-        # Different stride changes the unfold geometry → new keys, no
-        # corruption of the old ones.
-        _conv_pass(0, stride=2)
-        assert ws.stats()["buffers"] > buffers_small
+                         "hits": 0, "misses": 0}
 
     def test_disabled_workspace_caches_nothing(self):
         ws = conv_workspace()
@@ -215,6 +210,61 @@ class TestInFlightPadGuard:
             _conv_pass(1)
         finally:
             ws.debug = False
+
+
+class TestColumnScratch:
+    """Every conv's im2col columns, at every shape, share one scratch per
+    workspace, grown to the largest request: a buffer per layer and
+    shape would pile up across a compiled detector's per-batch plans."""
+
+    def test_reused_across_shapes(self):
+        ws = conv_workspace()
+        _conv_pass(0)
+        stats = ws.stats()
+        # Stride 2 changes the column geometry (same pad shape, fewer
+        # columns): no new buffer, no growth.
+        _conv_pass(0, stride=2)
+        assert ws.stats()["buffers"] == stats["buffers"]
+        assert ws.stats()["buffer_bytes"] == stats["buffer_bytes"]
+
+    def test_grows_to_largest_request(self):
+        ws = ConvWorkspace()
+        small = ws.scratch((2, 3, 4))
+        big = ws.scratch((5, 7))
+        assert big.base is not small.base
+        assert ws.stats()["buffer_bytes"] == 35 * 4
+        again = ws.scratch((2, 3, 4))
+        assert again.base is big.base
+        assert again.shape == (2, 3, 4) and again.flags.c_contiguous
+        assert ws.stats()["buffer_bytes"] == 35 * 4
+
+    def test_cleared_by_clear(self):
+        ws = ConvWorkspace()
+        ws.scratch((64,))
+        assert ws.stats()["buffer_bytes"] == 64 * 4
+        ws.clear()
+        assert ws.stats()["buffer_bytes"] == 0
+
+    def test_oversized_request_not_cached(self):
+        ws = ConvWorkspace(max_bytes=64)
+        assert ws.scratch((1024,)).shape == (1024,)
+        assert ws.stats()["buffer_bytes"] == 0
+
+    def test_guard_raises_in_debug(self):
+        ws = ConvWorkspace(debug=True)
+        cols = ws.scratch((4, 4))
+        with pytest.raises(RuntimeError, match="aliasing"):
+            ws.scratch((2,))
+        ws.scratch_release(cols)
+        ws.scratch_release(ws.scratch((2,)))  # released → legal again
+
+    def test_totals_probe_counts_the_scratch(self):
+        gc.collect()  # no dead workspace may be collected mid-measurement
+        before = conv_workspace_totals()
+        ws = ConvWorkspace()
+        ws.scratch((256,))
+        after = conv_workspace_totals()
+        assert after["buffer_bytes"] - before["buffer_bytes"] == 256 * 4
 
 
 class TestTotalsProbe:

@@ -7,11 +7,14 @@ kind of invariants unit examples cannot cover exhaustively.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn.functional import ConvWorkspace
+from repro.nn.lowering import FusedConvSpec, _ConvExec
+from repro.nn.quant import INT8_QMAX, K_CHUNK, QuantConvSpec, _QuantConvExec
 
 small_arrays = st.integers(min_value=2, max_value=6)
 
@@ -126,3 +129,147 @@ class TestValueInvariants:
         grid = np.stack([gx, gy], axis=-1)[None]
         out = F.grid_sample(x, grid)
         np.testing.assert_allclose(out.data, x.data, atol=1e-4)
+
+
+# ----------------------------------------------------------------------
+# Differential conv: the three executors against a direct loop
+# ----------------------------------------------------------------------
+
+#: float32 unit roundoff. A float32 sum of ``d`` products is within
+#: ``d·u·Σ|products|`` of the exact sum (Higham's γ_d bound), whatever the
+#: BLAS summation order; the conv checks allow twice that plus two
+#: roundings, with ``d`` the reduction depth of the checked quantity
+#: (``K = C·k·k`` for the forward), fixed by the shapes before any
+#: value is seen.
+U32 = 2.0 ** -24
+
+
+def direct_conv(x, w, stride, padding, grad=None):
+    """Naive direct convolution, one output window at a time, in the
+    dtype of ``x`` (float64 for the fp oracle, int64 for the int8 MAC
+    oracle). With ``grad`` (upstream of ``out``) also returns the x and
+    w gradients of ``Σ out·grad``."""
+    n, c, h, width = x.shape
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (width + 2 * padding - k) // stride + 1
+    out = np.zeros((n, w.shape[0], oh, ow), dtype=x.dtype)
+    grad_xp, grad_w = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(oh):
+        for j in range(ow):
+            rows = slice(i * stride, i * stride + k)
+            cols = slice(j * stride, j * stride + k)
+            window = xp[:, :, rows, cols]
+            out[:, :, i, j] = np.tensordot(window, w, axes=([1, 2, 3],
+                                                            [1, 2, 3]))
+            if grad is not None:
+                upstream = grad[:, :, i, j]
+                grad_xp[:, :, rows, cols] += np.tensordot(upstream, w,
+                                                          axes=(1, 0))
+                grad_w += np.tensordot(upstream, window, axes=(0, 0))
+    if grad is None:
+        return out
+    grad_x = grad_xp[:, :, padding:padding + h, padding:padding + width]
+    return out, grad_x, grad_w
+
+
+def assert_within_depth_bound(got, exact, magnitude, depth):
+    bound = 2 * (depth + 2) * U32 * magnitude
+    excess = np.abs(got.astype(np.float64) - exact) - bound
+    assert excess.max() <= 0, f"exceeds the depth-{depth} bound by {excess.max()}"
+
+
+@st.composite
+def conv_cases(draw):
+    n = draw(st.integers(1, 3))
+    c, o = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kernel = draw(st.sampled_from([1, 3]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.sampled_from([0, 1]))
+    assume(h + 2 * padding >= kernel and w + 2 * padding >= kernel)
+    return n, c, o, h, w, kernel, stride, padding, draw(st.integers(0, 10_000))
+
+
+def conv_operands(case):
+    n, c, o, h, w, kernel, stride, padding, seed = case
+    return (rand((n, c, h, w), seed), rand((o, c, kernel, kernel), seed + 1),
+            rand((o,), seed + 2))
+
+
+class TestConvDifferential:
+    """The autodiff, lowered and int8 convs against :func:`direct_conv`."""
+
+    @given(case=conv_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_autodiff_conv_and_gradients_match_direct_loop(self, case):
+        n, c, o, _, _, kernel, stride, padding, seed = case
+        x, w, b = conv_operands(case)
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        bt = Tensor(b, requires_grad=True)
+        out = F.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        upstream = rand(out.shape, seed + 3)
+        out.backward(upstream)
+
+        x64, w64, g64 = (a.astype(np.float64) for a in (x, w, upstream))
+        exact, grad_x, grad_w = direct_conv(x64, w64, stride, padding, g64)
+        out_mag, grad_x_mag, grad_w_mag = direct_conv(
+            np.abs(x64), np.abs(w64), stride, padding, np.abs(g64))
+        positions = n * out.shape[2] * out.shape[3]
+        assert_within_depth_bound(out.data, exact + b[:, None, None],
+                                  out_mag + np.abs(b)[:, None, None],
+                                  c * kernel * kernel)
+        assert_within_depth_bound(xt.grad, grad_x, grad_x_mag,
+                                  o * kernel * kernel)
+        assert_within_depth_bound(wt.grad, grad_w, grad_w_mag, positions)
+        assert_within_depth_bound(bt.grad, g64.sum(axis=(0, 2, 3)),
+                                  np.abs(g64).sum(axis=(0, 2, 3)), positions)
+
+    @given(case=conv_cases(), slope=st.sampled_from([None, 0.1]))
+    @settings(max_examples=30, deadline=None)
+    def test_lowered_conv_matches_direct_loop(self, case, slope):
+        _, c, _, _, _, kernel, stride, padding, _ = case
+        x, w, b = conv_operands(case)
+        spec = FusedConvSpec("conv", w, b, stride, padding, slope)
+        got = _ConvExec(spec, x.shape, ConvWorkspace(debug=True)).run(x)
+        exact = direct_conv(x.astype(np.float64), w.astype(np.float64),
+                            stride, padding) + b[:, None, None]
+        if slope is not None:
+            exact = np.maximum(exact, slope * exact)
+        out_mag = direct_conv(np.abs(x).astype(np.float64),
+                              np.abs(w).astype(np.float64), stride, padding)
+        assert_within_depth_bound(got, exact,
+                                  out_mag + np.abs(b)[:, None, None],
+                                  c * kernel * kernel)
+
+    @staticmethod
+    def assert_int8_matches_mac_oracle(x, w, b, stride, padding):
+        # Calibrated below the input's peak so some inputs saturate.
+        spec = QuantConvSpec(FusedConvSpec("conv", w, b, stride, padding, 0.1),
+                             act_amax=0.75 * float(np.abs(x).max()))
+        got = _QuantConvExec(spec, x.shape, ConvWorkspace(debug=True)).run(x)
+        xq = np.clip(np.rint(x * spec.inv_a_scale), -INT8_QMAX, INT8_QMAX)
+        wq = np.concatenate(spec.weight_chunks, axis=1).reshape(w.shape)
+        acc = direct_conv(xq.astype(np.int64), wq.astype(np.int64),
+                          stride, padding)
+        exact = acc.astype(np.int32).astype(np.float32)
+        exact *= spec.dequant_col
+        exact += spec.bias_col
+        exact = np.maximum(exact, exact * np.float32(spec.slope))
+        assert got.tobytes() == exact.tobytes()
+
+    @given(case=conv_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_int8_conv_is_byte_equal_to_int64_mac_oracle(self, case):
+        stride, padding = case[6:8]
+        self.assert_int8_matches_mac_oracle(*conv_operands(case), stride,
+                                            padding)
+
+    def test_int8_conv_above_one_k_chunk(self):
+        # C·k·k = 120·9 = 1080 > K_CHUNK: two row slices of the columns,
+        # reduced in int32.
+        x, w, b = rand((2, 120, 5, 5), 0), rand((3, 120, 3, 3), 1), rand((3,), 2)
+        assert 120 * 9 > K_CHUNK
+        self.assert_int8_matches_mac_oracle(x, w, b, 1, 1)
