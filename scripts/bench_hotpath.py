@@ -6,9 +6,7 @@ times:
 
 * **per-frame** — the historical reference loop, one ``step()`` (one
   detector forward) per frame;
-* **batched** — ``run(batch_size=N)``, the vectorized hot path, with a
-  :class:`repro.perf.PerfRecorder` attributing forward / decode / nms /
-  confirm time;
+* **batched** — ``run(batch_size=N)``, the vectorized hot path;
 * **lowered** — the same batched run through the eval-time lowered
   detector (``TinyYolo.lower()``, DESIGN.md §13): BN folded, fused
   epilogues, pre-planned buffers;
@@ -23,11 +21,14 @@ times:
 The first three traces are asserted behaviourally identical (same
 detections, confirmations and planner actions frame by frame) before any
 number is reported, so no speedup can come from changed semantics. The
-JSON report seeds the repo's perf trajectory; re-run with ``--check`` in
-CI to fail on a >20% frames/sec regression against the committed report,
-on the lowered forward stage falling under its speedup floor, or on the
-quantized forward falling under its own floor vs the lowered forward of
-the same invocation.
+batched, lowered and int8 runs are traced into one :class:`repro.obs.Run`
+(under ``--obs-dir``, else a temporary directory) and each reports the
+:func:`repro.obs.stage_table` of its ``pipeline.run`` span: self time of
+forward / decode / nms / confirm. The JSON report seeds the repo's perf
+trajectory; re-run with ``--check`` in CI to fail on a >20% frames/sec
+regression against the committed report, on the lowered forward stage
+falling under its speedup floor, or on the quantized forward falling
+under its own floor vs the lowered forward of the same invocation.
 
 Usage::
 
@@ -35,11 +36,11 @@ Usage::
     PYTHONPATH=src python scripts/bench_hotpath.py --check      # regression gate
     PYTHONPATH=src python scripts/bench_hotpath.py --layers     # per-layer tables
 
-``--layers`` adds three per-layer timing tables: the autodiff
-``TinyYolo`` modules (``LayerProfiler``, nested times) and every graph
-node of the lowered and int8 plans (self time per node, from a
-``_Plan._run_node`` shim set on each plan instance for one run over the
-bench video).
+``--layers`` adds one per-node timing table for each executor —
+autodiff, lowered and int8 — printed side by side: self time per graph
+node over one run of the bench video, from a timing shim on the
+``run_node`` that the graph interpreter calls once per node
+(:func:`timed_nodes`).
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
-import uuid
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -60,13 +62,17 @@ from repro.obs import (  # noqa: E402
     MANIFEST_SCHEMA_VERSION,
     Run,
     append_jsonl,
+    build_tree,
     config_digest,
     host_info,
+    load_report,
+    load_trace,
+    stage_table,
+    write_report,
 )
 from repro.eval.protocol import run_challenge  # noqa: E402
 from repro.nn.quant import activation_error_stats, calibrate_detector  # noqa: E402
 from repro.obs.history import check_trend  # noqa: E402
-from repro.perf import LayerProfiler, PerfRecorder, load_report, write_report  # noqa: E402
 from repro.scene.video import AttackScenario  # noqa: E402
 
 DEFAULT_REPORT = os.path.join(os.path.dirname(__file__), "..", "BENCH_hotpath.json")
@@ -91,6 +97,8 @@ QUANT_FORWARD_FLOOR = 1.15
 QUANT_PWC_TOLERANCE = 0.05
 #: Frames of the bench video used for the calibration pass.
 QUANT_CALIBRATION_FRAMES = 16
+#: Column heads of the side-by-side stage and node tables.
+EXECUTORS = ("autodiff", "lowered", "int8")
 
 
 def bench_config(args: argparse.Namespace) -> dict:
@@ -176,7 +184,7 @@ def traces_equal(reference, batched, atol: float = 1e-3) -> bool:
     return True
 
 
-def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
+def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     pipeline = build_pipeline(args)
     frames = make_video(args)
 
@@ -189,10 +197,8 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
     per_frame_seconds = time.perf_counter() - start
     per_frame_fps = len(frames) / per_frame_seconds
 
-    perf = PerfRecorder()
     start = time.perf_counter()
-    batched_traces = pipeline.run(frames, batch_size=args.batch_size, perf=perf,
-                                  obs=obs)
+    batched_traces = pipeline.run(frames, batch_size=args.batch_size, obs=obs)
     batched_seconds = time.perf_counter() - start
     batched_fps = len(frames) / batched_seconds
 
@@ -209,10 +215,9 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
     lowered_pipeline = build_pipeline(args, lowered=True)
     lowered_pipeline.run(frames[: min(4, len(frames))],
                          batch_size=args.batch_size)  # warm the plan cache
-    lowered_perf = PerfRecorder()
     start = time.perf_counter()
     lowered_traces = lowered_pipeline.run(frames, batch_size=args.batch_size,
-                                          perf=lowered_perf)
+                                          obs=obs)
     lowered_seconds = time.perf_counter() - start
     lowered_fps = len(frames) / lowered_seconds
 
@@ -222,8 +227,6 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
             "FATAL: lowered pipeline traces diverge from the per-frame "
             "reference — the lowering parity oracle failed; refusing to "
             "report a speedup for different semantics")
-    forward_speedup = (perf.stage_seconds("forward")
-                       / lowered_perf.stage_seconds("forward"))
 
     # Fourth phase: the int8-quantized plan (DESIGN.md §15). Calibrated on
     # the leading frames of the same video, timed against the *lowered*
@@ -237,14 +240,22 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
                                     calibration=calibration)
     quant_pipeline.run(frames[: min(4, len(frames))],
                        batch_size=args.batch_size)  # warm the plan cache
-    quant_perf = PerfRecorder()
     start = time.perf_counter()
     quant_traces = quant_pipeline.run(frames, batch_size=args.batch_size,
-                                      perf=quant_perf)
+                                      obs=obs)
     quant_seconds = time.perf_counter() - start
     quant_fps = len(frames) / quant_seconds
-    quant_forward_speedup = (lowered_perf.stage_seconds("forward")
-                             / quant_perf.stage_seconds("forward"))
+
+    # The three timed runs are the trace's last three ``pipeline.run`` trees.
+    obs.tracer.flush()
+    stages, lowered_stages, quant_stages = (
+        stage_table([node.record for node in root.walk()])
+        for root in build_tree(load_trace(obs.trace_path))[-3:])
+    forward_s, lowered_forward_s, quant_forward_s = (
+        table["detect.forward"]["self_s"]
+        for table in (stages, lowered_stages, quant_stages))
+    forward_speedup = forward_s / lowered_forward_s
+    quant_forward_speedup = lowered_forward_s / quant_forward_s
     action_agreement = float(np.mean([
         ref.decision.action == q.decision.action
         for ref, q in zip(reference_traces, quant_traces)]))
@@ -272,34 +283,31 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
             "refusing to report a speedup outside the declared budget")
 
     config = bench_config(args)
-    run_id = obs.run_id if obs is not None else f"bench-{uuid.uuid4().hex[:12]}"
     payload = {
         "benchmark": "av_pipeline_hotpath",
         "config": config,
-        "manifest": bench_manifest(config, run_id),
+        "manifest": bench_manifest(config, obs.run_id),
         "per_frame_fps": round(per_frame_fps, 2),
         "batched_fps": round(batched_fps, 2),
         "speedup": round(batched_fps / per_frame_fps, 3),
         "trace_identical": identical,
-        "perf": perf.report(),
+        "perf": {"stages": stages},
         "lowered": {
             "fps": round(lowered_fps, 2),
             "trace_identical": lowered_identical,
-            "forward_seconds": round(
-                lowered_perf.stage_seconds("forward"), 6),
-            "baseline_forward_seconds": round(
-                perf.stage_seconds("forward"), 6),
+            "forward_seconds": round(lowered_forward_s, 6),
+            "baseline_forward_seconds": round(forward_s, 6),
             "forward_speedup": round(forward_speedup, 3),
             "floor": LOWERED_FORWARD_FLOOR,
+            "stages": lowered_stages,
         },
         "quant": {
             "fps": round(quant_fps, 2),
-            "forward_seconds": round(
-                quant_perf.stage_seconds("forward"), 6),
-            "lowered_forward_seconds": round(
-                lowered_perf.stage_seconds("forward"), 6),
+            "forward_seconds": round(quant_forward_s, 6),
+            "lowered_forward_seconds": round(lowered_forward_s, 6),
             "forward_speedup_vs_lowered": round(quant_forward_speedup, 3),
             "floor": QUANT_FORWARD_FLOOR,
+            "stages": quant_stages,
             "calibration": {
                 "frames": calibration.frames,
                 "percentile": calibration.percentile,
@@ -328,33 +336,28 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
     }
 
     if args.layers:
-        profiler = LayerProfiler(pipeline.detector)
-        with profiler:
-            pipeline.run(frames[: args.batch_size],
-                         batch_size=args.batch_size)
-        payload["layers"] = [
-            {"layer": name, "seconds": round(seconds, 6), "calls": calls}
-            for name, seconds, calls in profiler.table()
-        ]
-        payload["lowered"]["layers"] = plan_layer_table(
+        payload["layers"] = node_table(pipeline, frames, args.batch_size)
+        payload["lowered"]["layers"] = node_table(
             lowered_pipeline, frames, args.batch_size)
-        payload["quant"]["layers"] = plan_layer_table(
+        payload["quant"]["layers"] = node_table(
             quant_pipeline, frames, args.batch_size)
     return payload
 
 
-def plan_layer_table(pipeline: AvPipeline, frames: list,
-                     batch_size: int) -> list:
-    """Per-node time of a compiled pipeline's plans over one run.
+@contextmanager
+def timed_nodes(detector):
+    """Time every graph node a detector's executor runs.
 
-    The graph interpreter calls ``_Plan._run_node`` once per node, so a
-    timing shim set on each cached plan instance (and removed after the
-    run) sees every node of every forward. Plan nodes do not nest: each
-    row is self time. Rows come in graph order.
+    The graph interpreter calls ``run_node`` once per node: the
+    ``TinyYolo``'s own for the autodiff forward, each cached plan's for a
+    lowered or int8 detector. A timing shim set on those instances, and
+    deleted on exit, sees every node of every forward. Nodes do not nest,
+    so each total is self time. Yields ``{node: [seconds, calls]}`` in
+    graph order.
     """
-    detector = pipeline.infer_model
+    plans = getattr(detector, "_plans", None)
+    owners = [detector] if plans is None else list(plans.values())
     totals = {node.name: [0.0, 0] for node in detector.graph.nodes}
-    plans = list(detector._plans.values())
 
     def timed(run_node):
         def run(node, *inputs):
@@ -366,32 +369,43 @@ def plan_layer_table(pipeline: AvPipeline, frames: list,
             return out
         return run
 
-    for plan in plans:
-        plan._run_node = timed(plan._run_node)
+    for owner in owners:
+        owner.run_node = timed(owner.run_node)
     try:
-        pipeline.run(frames, batch_size=batch_size)
+        yield totals
     finally:
-        for plan in plans:
-            del plan._run_node
-    return [{"layer": name, "seconds": round(seconds, 6), "calls": calls}
+        for owner in owners:
+            del owner.run_node
+
+
+def node_table(pipeline: AvPipeline, frames: list, batch_size: int) -> list:
+    """Per-node self time of one pipeline run over ``frames``, in graph
+    order; ``share`` is each node's part of the summed node time."""
+    with timed_nodes(pipeline.infer_model) as totals:
+        pipeline.run(frames, batch_size=batch_size)
+    total = sum(seconds for seconds, _ in totals.values())
+    return [{"layer": name, "self_s": round(seconds, 6), "calls": calls,
+             "share": seconds / total}
             for name, (seconds, calls) in totals.items()]
 
 
-def print_plan_layers(payload: dict, batch_size: int) -> None:
-    """The lowered and int8 per-node tables side by side: ms per forward
-    and each node's share of its plan's total."""
-    tables = payload["lowered"]["layers"], payload["quant"]["layers"]
-    totals = [sum(row["seconds"] for row in table) for table in tables]
-    print(f"plan nodes, batch {batch_size}: ms per forward (share of plan)")
-    print(f"  {'node':>11}  {'lowered':>16}  {'int8':>16}")
-    for rows in zip(*tables):
-        cells = [f"{1e3 * row['seconds'] / row['calls']:7.3f} "
-                 f"({row['seconds'] / total:6.1%})"
-                 for row, total in zip(rows, totals)]
-        print(f"  {rows[0]['layer']:>11}  {cells[0]:>16}  {cells[1]:>16}")
-    cells = [f"{1e3 * total / table[0]['calls']:7.3f}"
-             for total, table in zip(totals, tables)]
-    print(f"  {'total':>11}  {cells[0]:<16}  {cells[1]:<16}")
+def print_tables(title: str, tables: list, per_call: bool = False) -> None:
+    """Autodiff, lowered and int8 tables of ``{name: {"self_s", "calls",
+    "share"}}`` side by side: each row's ms (per call with ``per_call``)
+    and its share of its table."""
+    print(title)
+    print(f"  {'':>16}" + "".join(f"  {name:>17}" for name in EXECUTORS))
+    totals = [0.0] * len(tables)
+    for name in tables[0]:
+        cells = []
+        for index, table in enumerate(tables):
+            row = table[name]
+            ms = 1e3 * row["self_s"] / (row["calls"] if per_call else 1)
+            totals[index] += ms
+            cells.append(f"{ms:8.3f} ({row['share']:6.1%})")
+        print(f"  {name:>16}" + "".join(f"  {cell:>17}" for cell in cells))
+    print(f"  {'total':>16}" + "".join(f"  {total:8.3f}{'':9}"
+                                       for total in totals))
 
 
 def check_regression(report_path: str, payload: dict) -> int:
@@ -479,22 +493,21 @@ def main(argv=None) -> int:
                         help="append-only JSONL perf trajectory "
                              "(empty string disables)")
     parser.add_argument("--obs-dir", default=None,
-                        help="also record a repro.obs run (manifest.json + "
-                             "trace.jsonl) under this directory")
+                        help="keep the repro.obs run (manifest.json + "
+                             "trace.jsonl) the stage tables are read from "
+                             "in this directory (default: a temporary one)")
     parser.add_argument("--layers", action="store_true",
-                        help="include per-layer timing tables: TinyYolo "
-                             "modules and the lowered and int8 plan nodes")
+                        help="include per-node timing tables of the "
+                             "autodiff, lowered and int8 executors")
     parser.add_argument("--check", action="store_true",
                         help="compare against the committed report instead "
                              "of overwriting it; exit 1 on >20%% regression")
     args = parser.parse_args(argv)
 
-    if args.obs_dir:
-        with Run(args.obs_dir, name="bench_hotpath",
+    with tempfile.TemporaryDirectory(prefix="bench_hotpath_") as scratch:
+        with Run(args.obs_dir or scratch, name="bench_hotpath",
                  config=bench_config(args), seeds={"seed": args.seed}) as obs:
-            payload = run_benchmark(args, obs=obs)
-    else:
-        payload = run_benchmark(args)
+            payload = run_benchmark(args, obs)
     print(f"per-frame: {payload['per_frame_fps']:.2f} fps   "
           f"batched(x{args.batch_size}): {payload['batched_fps']:.2f} fps   "
           f"speedup: {payload['speedup']:.2f}x   "
@@ -510,11 +523,16 @@ def main(argv=None) -> int:
           f"|ΔPWC|: {quant['accuracy']['pwc_delta']:.4f}   "
           f"worst layer rel err: {quant['activation_error']['max_rel']:.4f} "
           f"({quant['activation_error']['worst_layer']})")
-    for name, stage in payload["perf"]["stages"].items():
-        print(f"  {name:>8}: {stage['seconds']*1e3:8.1f} ms  "
-              f"({stage['share']:5.1%})  {stage['calls']} calls")
+    print_tables("pipeline stages: self ms (share of the run)",
+                 [payload["perf"]["stages"], lowered["stages"],
+                  quant["stages"]])
     if args.layers:
-        print_plan_layers(payload, args.batch_size)
+        print_tables(f"graph nodes, batch {args.batch_size}: "
+                     "ms per forward (share of the forward)",
+                     [{row["layer"]: row for row in table}
+                      for table in (payload["layers"], lowered["layers"],
+                                    quant["layers"])],
+                     per_call=True)
 
     status = 0
     if args.check:

@@ -47,10 +47,11 @@ from repro.obs import (  # noqa: E402
     append_jsonl,
     config_digest,
     host_info,
+    load_report,
+    write_report,
 )
 from repro.obs.history import check_trend  # noqa: E402
 from repro.obs.live import LiveConfig  # noqa: E402
-from repro.perf import load_report, write_report  # noqa: E402
 from repro.serve import DetectionServer, RequestStatus, ServeConfig  # noqa: E402
 
 DEFAULT_REPORT = os.path.join(os.path.dirname(__file__), "..", "BENCH_serve.json")

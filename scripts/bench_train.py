@@ -18,6 +18,11 @@ never come from changed semantics:
   checkpoint, and must still reproduce the uninterrupted patch byte for
   byte (the PR 1 fault-tolerance contract under ``workers > 0``).
 
+The parallel run is traced into a :class:`repro.obs.Run` (under
+``--obs-dir``, else a temporary directory), and its
+:func:`repro.obs.stage_table` reports where the time went: self time of
+every span, engine stages and pool start-up included.
+
 The ≥1.5× speedup target only holds where there are cores to run on, so
 the throughput gate is enforced only when ``os.cpu_count() >= workers``;
 on smaller machines the numbers are still reported and the identity gates
@@ -37,7 +42,6 @@ import os
 import sys
 import tempfile
 import time
-import uuid
 
 import numpy as np
 
@@ -54,10 +58,13 @@ from repro.obs import (  # noqa: E402
     append_jsonl,
     config_digest,
     host_info,
+    load_report,
+    load_trace,
+    stage_table,
+    write_report,
 )
 from repro.obs.history import check_trend  # noqa: E402
 from repro.obs.live import LiveConfig, TrainTelemetry  # noqa: E402
-from repro.perf import PerfRecorder, load_report, write_report  # noqa: E402
 from repro.runtime import RuntimeConfig  # noqa: E402
 from repro.scene.video import AttackScenario  # noqa: E402
 
@@ -115,8 +122,7 @@ def attack_config(args: argparse.Namespace, workers: int) -> AttackConfig:
 
 
 def run_training(args: argparse.Namespace, workers: int,
-                 runtime: RuntimeConfig | None = None,
-                 perf: PerfRecorder | None = None, obs=None, live=None):
+                 runtime: RuntimeConfig | None = None, obs=None, live=None):
     """One full training run; returns (AttackResult, wall_seconds).
 
     Model/scenario/config are rebuilt per call so every run is an
@@ -132,7 +138,7 @@ def run_training(args: argparse.Namespace, workers: int,
     config = attack_config(args, workers)
     start = time.perf_counter()
     result = train_patch_attack(model, scenario, config, runtime=runtime,
-                                obs=obs, perf=perf, live=live)
+                                obs=obs, live=live)
     return result, time.perf_counter() - start
 
 
@@ -178,15 +184,14 @@ def resume_parity(args: argparse.Namespace, reference: np.ndarray) -> bool:
     return bool(np.array_equal(resumed.patch, reference))
 
 
-def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
+def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     serial_result, serial_seconds = run_training(args, 0)
-    perf = PerfRecorder()
 
-    # Live train telemetry rides on the *parallel* timed run only — the
-    # serial oracle stays untelemetered, so the bit-identity gate below
-    # additionally proves the sampler never perturbs training numerics.
+    # Tracing and live train telemetry ride on the *parallel* timed run
+    # only — the serial oracle stays uninstrumented, so the bit-identity
+    # gate below additionally proves neither perturbs training numerics.
     live = None
-    if obs is not None and args.live:
+    if args.live:
         live = TrainTelemetry(
             directory=obs.directory,
             config=LiveConfig(interval_s=args.live_interval,
@@ -195,7 +200,7 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
         live.start()
     try:
         parallel_result, parallel_seconds = run_training(
-            args, args.workers, perf=perf, obs=obs, live=live)
+            args, args.workers, obs=obs, live=live)
     finally:
         if live is not None:
             live.stop()
@@ -225,12 +230,12 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
             f"FATAL: {speedup:.2f}x at {args.workers} workers on {cpus} CPUs "
             f"is below the {SPEEDUP_TARGET}x target")
 
+    obs.tracer.flush()
     config = bench_config(args)
-    run_id = obs.run_id if obs is not None else f"bench-{uuid.uuid4().hex[:12]}"
     return {
         "benchmark": "parallel_train_engine",
         "config": config,
-        "manifest": bench_manifest(config, run_id),
+        "manifest": bench_manifest(config, obs.run_id),
         "serial_seconds": round(serial_seconds, 2),
         "parallel_seconds": round(parallel_seconds, 2),
         "serial_steps_per_sec": round(serial_sps, 4),
@@ -243,7 +248,7 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
         },
         "bit_identical": identical,
         "resume_parity": resume_ok,
-        "perf": perf.report(),
+        "perf": {"stages": stage_table(load_trace(obs.trace_path))},
         "live": None if live is None else {
             "ticks": live.ticks,
             "alerts": len(live.engine.alerts),
@@ -301,8 +306,9 @@ def main(argv=None) -> int:
                         help="append-only JSONL perf trajectory "
                              "(empty string disables)")
     parser.add_argument("--obs-dir", default=None,
-                        help="also record a repro.obs run (manifest.json + "
-                             "trace.jsonl) under this directory")
+                        help="keep the repro.obs run (manifest.json + "
+                             "trace.jsonl) the stage table is read from "
+                             "in this directory (default: a temporary one)")
     parser.add_argument("--skip-resume-gate", action="store_true",
                         help="skip the crash/resume parity run (the two "
                              "timed runs and the bit-identity gate still run)")
@@ -330,12 +336,10 @@ def main(argv=None) -> int:
         parser.error("--live requires --obs-dir (telemetry files land in "
                      "the run directory)")
 
-    if args.obs_dir:
-        with Run(args.obs_dir, name="bench_train",
+    with tempfile.TemporaryDirectory(prefix="bench_train_") as scratch:
+        with Run(args.obs_dir or scratch, name="bench_train",
                  config=bench_config(args), seeds={"seed": args.seed}) as obs:
-            payload = run_benchmark(args, obs=obs)
-    else:
-        payload = run_benchmark(args)
+            payload = run_benchmark(args, obs)
     gate = payload["speedup_gate"]
     print(f"serial(workers=0): {payload['serial_steps_per_sec']:.4f} steps/s   "
           f"parallel(x{args.workers}): "
@@ -349,8 +353,9 @@ def main(argv=None) -> int:
         summary = payload["live"]
         print(f"live: {summary['ticks']} ticks, {summary['alerts']} alerts, "
               f"violated={summary['violated_rules'] or 'none'}")
+    print("parallel run stages: self ms (share of the run)")
     for name, stage in payload["perf"]["stages"].items():
-        print(f"  {name:>24}: {stage['seconds']*1e3:8.1f} ms  "
+        print(f"  {name:>24}: {stage['self_s']*1e3:8.1f} ms  "
               f"({stage['share']:5.1%})  {stage['calls']} calls")
 
     status = 0

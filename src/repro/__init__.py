@@ -16,11 +16,11 @@ built entirely on a from-scratch numpy deep-learning stack:
   behind the paper's CWC argument);
 * :mod:`repro.runtime` — fault-tolerant runtime: checkpoint/resume,
   divergence recovery, sensor-fault injection (DESIGN.md §7);
-* :mod:`repro.perf` — hot-path observability: stage timers, per-layer
-  profiling hooks, JSON perf reports (DESIGN.md §8);
-* :mod:`repro.obs` — unified run telemetry: hierarchical span tracing,
-  a counter/gauge/histogram metrics registry, and atomic run manifests
-  tying training and evaluation to one run identity (DESIGN.md §9);
+* :mod:`repro.obs` — unified run telemetry: hierarchical span tracing
+  (the one stage timer, with per-stage self-time tables), a
+  counter/gauge/histogram metrics registry, atomic run manifests tying
+  training and evaluation to one run identity, and the versioned
+  ``BENCH_*.json`` reports (DESIGN.md §8–9);
 * :mod:`repro.experiments` — turnkey experiment harness used by the
   benchmarks that regenerate every table and figure.
 

@@ -299,7 +299,6 @@ def train_patch_attack(
     log: Optional[TrainLog] = None,
     runtime: Optional[RuntimeConfig] = None,
     obs: Optional[Run] = None,
-    perf=None,
     live=None,
 ) -> AttackResult:
     """Train the paper's decal attack against a frozen detector.
@@ -326,8 +325,8 @@ def train_patch_attack(
     per-sample parallel-engine schedule serially in-process (the
     bit-identity oracle); ``n >= 1`` fans the EOT samples out over ``n``
     worker processes — every ``workers >= 0`` value produces byte-equal
-    parameter updates. ``perf`` (a :class:`repro.perf.PerfRecorder`)
-    attributes engine stage time (broadcast/dispatch/collect/reduce).
+    parameter updates. With ``obs``, the engine stages (broadcast /
+    dispatch / collect / reduce) are ``attack.parallel.*`` spans.
 
     ``live`` (a :class:`repro.obs.TrainTelemetry`, DESIGN.md §14) attaches
     the step loop to the live sampler: steps/s, loss and grad-norm gauges,
@@ -366,7 +365,7 @@ def train_patch_attack(
                         n_patches=config.n_patches, workers=config.workers):
             return _train_with_frozen_detector(
                 model, scenario, config, log, rng, target_label, runtime, obs,
-                perf, live,
+                live,
             )
     finally:
         for param, state in zip(detector_params, frozen_state):
@@ -382,7 +381,6 @@ def _train_with_frozen_detector(
     target_label: int,
     runtime: Optional[RuntimeConfig] = None,
     obs: Optional[Run] = None,
-    perf=None,
     live=None,
 ) -> AttackResult:
     runtime = runtime or RuntimeConfig()
@@ -417,7 +415,6 @@ def _train_with_frozen_detector(
                     workers=config.workers,
                 ),
                 obs=obs,
-                perf=perf,
                 live=live,
             )
 
@@ -475,7 +472,7 @@ def _train_with_frozen_detector(
             WorkSpec(init_fn=attack_worker_init, work_fn=attack_worker_step,
                      init_payload=payload, param_specs=param_specs,
                      grad_specs=grad_specs, max_samples=config.batch_frames),
-            config.workers, obs=obs, perf=perf, name="attack.parallel",
+            config.workers, obs=obs, name="attack.parallel",
         )
         if live is not None:
             live.ensure_probe("train.attack.pool", evaluator.probe)

@@ -19,7 +19,6 @@ from ..detection.model import TinyYolo
 from ..nn import Tensor, no_grad
 from ..nn.quant import resolve_inference_model
 from ..obs import Run, span_scope
-from ..perf import PerfRecorder, stage_scope
 from ..runtime import FaultSchedule
 from .confirmation import ConfirmedObject, DetectionConfirmer
 from .planner import Action, PlannerDecision, RulePlanner
@@ -60,7 +59,7 @@ class AvPipeline:
         Compile the frozen detector through the eval-time lowering pass
         (``TinyYolo.lower()``, DESIGN.md §13) and run inference through
         the lowered executor. ``self.detector`` stays the source model
-        (layer profiling, checkpoint reloads); detection forwards use
+        (checkpoint reloads); detection forwards use
         ``self.infer_model``. Default off — trainers and attack loops
         need the differentiable graph.
     precision:
@@ -114,7 +113,6 @@ class AvPipeline:
             faults: Optional[FaultSchedule] = None,
             rng: Optional[np.random.Generator] = None,
             batch_size: int = DEFAULT_BATCH_SIZE,
-            perf: Optional[PerfRecorder] = None,
             obs: Optional[Run] = None) -> List[FrameTrace]:
         """Process a whole video (resets state first).
 
@@ -127,31 +125,25 @@ class AvPipeline:
         confirmation tracker and planner still step frame by frame in
         stream order — the traces are identical to a per-frame
         :meth:`step` loop (parity-tested), just measured faster.
-        ``batch_size=1`` recovers one forward pass per frame. ``perf``
-        collects per-stage timings (forward / decode / nms / confirm).
+        ``batch_size=1`` recovers one forward pass per frame.
 
         ``obs`` attaches the run to a telemetry run (DESIGN.md §9): one
-        ``pipeline.run`` span with a ``detect.batched`` child, plus
-        per-stage timings published into the run's metrics registry (a
-        private recorder is created when ``perf`` is not given).
+        ``pipeline.run`` span with ``detect.batched`` (forward / decode /
+        nms) and ``pipeline.confirm`` children, whose
+        :func:`~repro.obs.stage_table` is the pipeline's stage breakdown.
         """
         self.reset()
-        local_perf = perf
-        if obs is not None and local_perf is None:
-            local_perf = PerfRecorder()
-        with span_scope(obs, "pipeline.run", batch_size=batch_size,
-                        faults=faults is not None):
-            stream: Sequence[Optional[np.ndarray]] = list(frames)
+        stream: Sequence[Optional[np.ndarray]] = list(frames)
+        with span_scope(obs, "pipeline.run", items=len(stream),
+                        batch_size=batch_size, faults=faults is not None):
             if faults is not None:
                 stream = faults.degrade_stream(stream, rng)
-            if obs is not None:
-                obs.tracer.add("items", len(stream))
             per_frame = batched_detections(
                 self.infer_model, stream, conf_threshold=self.conf_threshold,
-                batch_size=batch_size, perf=local_perf, obs=obs,
+                batch_size=batch_size, obs=obs,
             )
             traces: List[FrameTrace] = []
-            with stage_scope(local_perf, "confirm", items=len(stream)):
+            with span_scope(obs, "pipeline.confirm", items=len(stream)):
                 for detections in per_frame:
                     if detections is None:
                         confirmed = self.confirmer.update(None, sensor_fault=True)
@@ -164,10 +156,6 @@ class AvPipeline:
                     traces.append(FrameTrace(detections=detections,
                                              confirmed=confirmed, decision=decision))
         if obs is not None:
-            # Publish the private recorder only: a caller-owned recorder may
-            # accumulate across videos and would double-count on re-publish.
-            if perf is None:
-                local_perf.publish(obs.metrics, prefix="perf.pipeline")
             obs.metrics.counter("pipeline.frames").inc(len(stream))
             obs.metrics.counter("pipeline.runs").inc()
         return traces

@@ -21,7 +21,6 @@ from ..nn import functional as F
 from ..nn.functional import stable_sigmoid
 from ..nn.tensor import concatenate
 from ..obs import Run, span_scope
-from ..perf import PerfRecorder, stage_scope
 from .boxes import xywh_to_xyxy
 from .config import TinyYoloConfig
 from .nms import non_max_suppression
@@ -157,16 +156,16 @@ def detections_from_outputs(
     conf_threshold: float = 0.3,
     iou_threshold: float = 0.45,
     max_detections: int = 50,
-    perf: Optional[PerfRecorder] = None,
+    obs: Optional[Run] = None,
 ) -> List[List[Detection]]:
     """Full inference post-processing for a batch.
 
     Score = objectness × max class probability (YOLOv3 convention). Returns
-    one detection list per batch element, NMS applied per class. A
-    :class:`~repro.perf.PerfRecorder` attributes decode vs NMS time.
+    one detection list per batch element, NMS applied per class. ``obs``
+    times decode and NMS as ``detect.decode`` / ``detect.nms`` spans.
     """
     batch = outputs[0].shape[0]
-    with no_grad(), stage_scope(perf, "decode", items=batch):
+    with no_grad(), span_scope(obs, "detect.decode", items=batch):
         heads = decode_heads(outputs, config)
         all_boxes, all_obj, all_cls = [], [], []
         for head in heads:
@@ -183,7 +182,7 @@ def detections_from_outputs(
         cls = np.concatenate(all_cls, axis=1)
 
     results: List[List[Detection]] = []
-    with stage_scope(perf, "nms", items=batch):
+    with span_scope(obs, "detect.nms", items=batch):
         for i in range(batch):
             scores = obj[i][:, None] * cls[i]
             best_class = scores.argmax(axis=1)
@@ -220,7 +219,6 @@ def batched_detections(
     iou_threshold: float = 0.45,
     max_detections: int = 50,
     batch_size: int = 8,
-    perf: Optional[PerfRecorder] = None,
     obs: Optional[Run] = None,
 ) -> List[Optional[List[Detection]]]:
     """Detect over a frame stream, forwarding frames in batches.
@@ -234,34 +232,33 @@ def batched_detections(
 
     ``obs`` records one ``detect.batched`` span per call (child of
     whatever span is open — a pipeline run, an eval challenge) carrying
-    frame/drop counters; ``obs=None`` is free (DESIGN.md §9).
+    frame/drop counters, with one ``detect.forward`` span per batch and
+    the ``detect.decode`` / ``detect.nms`` spans of
+    :func:`detections_from_outputs` under it; ``obs=None`` is free
+    (DESIGN.md §9).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     results: List[Optional[List[Detection]]] = [None] * len(images)
     live = [(index, image) for index, image in enumerate(images)
             if image is not None]
-    with span_scope(obs, "detect.batched", batch_size=batch_size):
+    with span_scope(obs, "detect.batched", items=len(live),
+                    batch_size=batch_size):
         if obs is not None:
-            obs.tracer.add("items", len(live))
             obs.tracer.add("dropped", len(images) - len(live))
         for start in range(0, len(live), batch_size):
             chunk = live[start:start + batch_size]
             stacked = np.stack([image for _, image in chunk])
-            with no_grad(), stage_scope(perf, "forward", items=len(chunk)):
+            with no_grad(), span_scope(obs, "detect.forward", items=len(chunk)):
                 outputs = model(Tensor(stacked))
             per_image = detections_from_outputs(
                 outputs, model.config, conf_threshold=conf_threshold,
                 iou_threshold=iou_threshold, max_detections=max_detections,
-                perf=perf,
+                obs=obs,
             )
             for (index, _), detections in zip(chunk, per_image):
                 results[index] = detections
     if obs is not None:
         obs.metrics.counter("detect.frames").inc(len(images))
         obs.metrics.counter("detect.dropped_frames").inc(len(images) - len(live))
-    if perf is not None:
-        perf.count("frames", len(images))
-        perf.count("dropped_frames", len(images) - len(live))
-        perf.count("batches", (len(live) + batch_size - 1) // batch_size)
     return results

@@ -28,7 +28,6 @@ from ..detection.decode import batched_detections
 from ..detection.model import TinyYolo
 from ..nn.quant import resolve_inference_model
 from ..obs import Run, span_scope
-from ..perf import PerfRecorder
 from ..runtime import FaultSchedule
 from ..scene.trajectory import CHALLENGES, challenge_trajectory
 from ..scene.video import AttackScenario, DeployedDecals, render_run
@@ -103,7 +102,6 @@ def run_challenge(
     faults: Optional[FaultSchedule] = None,
     max_coast: int = DEFAULT_MAX_COAST,
     batch_size: int = DEFAULT_EVAL_BATCH_SIZE,
-    perf: Optional[PerfRecorder] = None,
     obs: Optional[Run] = None,
     lowered: bool = False,
     precision: str = "fp",
@@ -130,13 +128,12 @@ def run_challenge(
 
     Frames are forwarded through the detector ``batch_size`` at a time
     (the degradation draws and the per-frame coasting walk stay in strict
-    stream order, so outcomes match the historical frame-by-frame loop);
-    ``perf`` collects per-stage hot-path timings across all runs.
+    stream order, so outcomes match the historical frame-by-frame loop).
 
     ``obs`` attaches the challenge to a telemetry run (DESIGN.md §9): an
-    ``eval.challenge`` span with per-run render/detect/score children,
-    PWC gauges, and hot-path timings published into the run's metrics
-    registry. ``obs=None`` is free.
+    ``eval.challenge`` span with per-run render/detect/score children
+    (the detect child carries the forward / decode / nms spans) and PWC
+    gauges in the run's metrics registry. ``obs=None`` is free.
     """
     if challenge not in CHALLENGES:
         raise KeyError(f"unknown challenge {challenge!r}")
@@ -156,10 +153,6 @@ def run_challenge(
     infer_model = resolve_inference_model(model, precision=precision,
                                           lowered=lowered,
                                           calibration=calibration)
-
-    local_perf = perf
-    if obs is not None and local_perf is None:
-        local_perf = PerfRecorder()
 
     try:
         with span_scope(obs, "eval.challenge", challenge=challenge,
@@ -194,7 +187,7 @@ def run_challenge(
                     images.append(image)
                 detections_per_frame = batched_detections(
                     infer_model, images, conf_threshold=conf_threshold,
-                    batch_size=batch_size, perf=local_perf, obs=obs,
+                    batch_size=batch_size, obs=obs,
                 )
 
                 with span_scope(obs, "eval.score", run_index=run_index):
@@ -229,10 +222,6 @@ def run_challenge(
         obs.metrics.gauge(f"eval.{challenge}.cwc").set(float(majority_cwc))
         obs.metrics.counter("eval.challenges_run").inc()
         obs.metrics.counter("eval.videos_scored").inc(len(runs))
-        # Publish the private recorder only: a caller-owned one may span
-        # several challenges and would double-count on re-publish.
-        if perf is None:
-            local_perf.publish(obs.metrics, prefix="perf.eval")
     return ChallengeResult(challenge=challenge, pwc=mean_pwc, cwc=majority_cwc, runs=runs)
 
 
@@ -247,7 +236,6 @@ def evaluate_challenges(
     seed: int = 0,
     faults: Optional[FaultSchedule] = None,
     batch_size: int = DEFAULT_EVAL_BATCH_SIZE,
-    perf: Optional[PerfRecorder] = None,
     obs: Optional[Run] = None,
     lowered: bool = False,
     precision: str = "fp",
@@ -259,7 +247,7 @@ def evaluate_challenges(
             model, scenario, challenge, artifact=artifact,
             target_class=target_class, physical=physical,
             n_runs=n_runs, seed=seed, faults=faults,
-            batch_size=batch_size, perf=perf, obs=obs, lowered=lowered,
+            batch_size=batch_size, obs=obs, lowered=lowered,
             precision=precision, calibration=calibration,
         )
         for challenge in challenges

@@ -85,7 +85,6 @@ def train_gan(
     log: Optional[TrainLog] = None,
     runtime: Optional[RuntimeConfig] = None,
     obs: Optional[Run] = None,
-    perf=None,
     live=None,
 ) -> TrainLog:
     """Adversarially train G/D on one shape class in place.
@@ -97,8 +96,8 @@ def train_gan(
     ``config.workers`` selects the step schedule (DESIGN.md §10): the
     legacy batched step (``None``), or the per-sample parallel-engine
     schedule — serial oracle at ``0``, ``n`` worker processes otherwise,
-    all byte-identical to each other. ``perf`` (a
-    :class:`repro.perf.PerfRecorder`) attributes engine stage time.
+    all byte-identical to each other. With ``obs``, the engine stages are
+    ``gan.parallel.*`` spans.
 
     ``live`` (a :class:`repro.obs.TrainTelemetry`, DESIGN.md §14) attaches
     the loop to the live sampler under the ``gan`` trainer name — as the
@@ -147,7 +146,7 @@ def train_gan(
             WorkSpec(init_fn=gan_worker_init, work_fn=gan_worker_step,
                      init_payload=payload, param_specs=param_specs,
                      grad_specs=grad_specs, max_samples=config.batch_size),
-            config.workers, obs=obs, perf=perf, name="gan.parallel",
+            config.workers, obs=obs, name="gan.parallel",
         )
         if live is not None:
             live.ensure_probe("train.gan.pool", evaluator.probe)

@@ -293,7 +293,7 @@ class _Plan:
             self.execs[node.name] = exec_
             shapes[node.name] = exec_.out.shape
 
-    def _run_node(self, node: Node, *inputs: np.ndarray) -> np.ndarray:
+    def run_node(self, node: Node, *inputs: np.ndarray) -> np.ndarray:
         return self.execs[node.name].run(*inputs)
 
     def run(self, x: np.ndarray,
@@ -302,7 +302,7 @@ class _Plan:
         input, output)`` observes every conv and head (the parity oracle
         records outputs, calibration records inputs); ``None`` costs
         nothing on the hot path."""
-        return self.graph.run(x, self._run_node, hook)
+        return self.graph.run(x, self.run_node, hook)
 
 
 # ----------------------------------------------------------------------

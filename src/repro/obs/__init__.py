@@ -8,17 +8,18 @@ One run identity ties every telemetry stream together:
   (parent/child, wall-clock, counters, any-type attributes) with a
   buffered JSONL sink, threaded through the attack/GAN/detector trainers,
   :meth:`repro.av.AvPipeline.run`, batched detection, and the eval
-  protocol, so one trace covers train → render → eval end to end;
+  protocol, so one trace covers train → render → eval end to end. Spans
+  are the only stage timer (:func:`span_scope`);
 * :class:`Metrics` — a counter/gauge/histogram registry that
-  :class:`~repro.utils.logging.TrainLog`,
-  :class:`~repro.perf.PerfRecorder`, and the runtime divergence guard
+  :class:`~repro.utils.logging.TrainLog` and the runtime divergence guard
   publish into instead of inventing their own shapes;
-* :mod:`.report` — loading, rendering, and two-run diffing of
-  manifest/trace pairs (``scripts/obs_report.py`` is the CLI).
+* :mod:`.report` — loading, rendering, per-stage self-time tables
+  (:func:`stage_table`), and two-run diffing of manifest/trace pairs
+  (``scripts/obs_report.py`` is the CLI).
 
 Everything is stdlib + numpy, and every instrumented path takes
-``obs=None`` to stay zero-overhead without a run, mirroring the
-``perf=None`` convention of :mod:`repro.perf`.
+``obs=None`` to stay zero-overhead without a run
+(``tests/obs/test_free_when_none.py`` holds that contract).
 """
 
 from .export import (
@@ -50,6 +51,7 @@ from .live import (
     TrainTelemetry,
     load_live_snapshot,
     load_train_snapshot,
+    process_stats,
 )
 from .metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, Metrics
 from .report import (
@@ -60,17 +62,21 @@ from .report import (
     render_diff,
     render_run,
     span_path_totals,
+    stage_table,
 )
 from .run import (
     MANIFEST_NAME,
     MANIFEST_SCHEMA_VERSION,
+    REPORT_SCHEMA_VERSION,
     TRACE_NAME,
     Run,
     append_jsonl,
     config_digest,
     host_info,
+    load_report,
     span_scope,
     write_json_atomic,
+    write_report,
 )
 from .slo import Alert, SloEngine, SloRule, SloRuleError, load_alerts
 from .trace import SpanNode, SpanRecord, Tracer, build_tree, load_trace
@@ -82,6 +88,9 @@ __all__ = [
     "host_info",
     "write_json_atomic",
     "append_jsonl",
+    "write_report",
+    "load_report",
+    "REPORT_SCHEMA_VERSION",
     "MANIFEST_SCHEMA_VERSION",
     "MANIFEST_NAME",
     "TRACE_NAME",
@@ -102,6 +111,7 @@ __all__ = [
     "render_diff",
     "metric_deltas",
     "span_path_totals",
+    "stage_table",
     # live telemetry (DESIGN.md §12)
     "Timeseries",
     "Rollup",
@@ -113,6 +123,7 @@ __all__ = [
     "TRAIN_SNAPSHOT_NAME",
     "load_live_snapshot",
     "load_train_snapshot",
+    "process_stats",
     "SloRule",
     "SloRuleError",
     "SloEngine",

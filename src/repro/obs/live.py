@@ -15,12 +15,13 @@ cleanly. :class:`LiveTelemetry` closes that gap for long-lived processes
   max / p50 / p99 / last), deterministic for a fixed window of values.
 * :class:`LiveTelemetry` — a registry of series fed by *probes*
   (callables returning ``{name: value}`` dicts, e.g.
-  ``DetectionServer.probe``, ``WorkerPool.probe``, process RSS/CPU) and
-  *derived* values (rates and ratios computed from series history, e.g.
-  ``shed_rate``, ``respawns_per_min``). Each tick it polls every probe,
-  appends samples, evaluates the :class:`~repro.obs.slo.SloEngine`, and
-  runs registered snapshot writers (atomic JSON files, so a SIGKILLed
-  process always leaves a readable last state).
+  ``DetectionServer.probe``, ``WorkerPool.probe``, process RSS/CPU from
+  :func:`process_stats`) and *derived* values (rates and ratios computed
+  from series history, e.g. ``shed_rate``, ``respawns_per_min``). Each
+  tick it polls every probe, appends samples, evaluates the
+  :class:`~repro.obs.slo.SloEngine`, and runs registered snapshot writers
+  (atomic JSON files, so a SIGKILLed process always leaves a readable
+  last state).
 
 The sampler runs on a daemon thread woken every ``interval_s`` via an
 event (so :meth:`LiveTelemetry.stop` returns promptly), but the whole
@@ -28,11 +29,11 @@ pipeline is clock-injected: tests construct with a fake ``clock`` and
 drive :meth:`LiveTelemetry.sample_once` directly — no thread, no sleeps,
 fully deterministic rollups and SLO transitions.
 
-Overhead contract: the established ``obs=None`` / ``perf=None`` idiom
-extends to ``live=None`` — hosts thread the knob through and pay nothing
-when it is ``None`` (no thread, no probes, no files). When enabled, each
-tick is O(probes + rules) with bounded memory (every series is a fixed
-ring), and the sampler observes its *own* tick duration into the
+Overhead contract: the established ``obs=None`` idiom extends to
+``live=None`` — hosts thread the knob through and pay nothing when it is
+``None`` (no thread, no probes, no files). When enabled, each tick is
+O(probes + rules) with bounded memory (every series is a fixed ring), and
+the sampler observes its *own* tick duration into the
 ``live.tick_seconds`` series so the overhead budget is itself monitored.
 """
 
@@ -53,11 +54,40 @@ from .slo import SloEngine, SloRule
 __all__ = ["Timeseries", "Rollup", "LiveConfig", "LiveTelemetry",
            "TrainerState", "TrainTelemetry",
            "LIVE_SNAPSHOT_NAME", "TRAIN_SNAPSHOT_NAME", "LIVE_SCHEMA_VERSION",
-           "load_live_snapshot", "load_train_snapshot"]
+           "load_live_snapshot", "load_train_snapshot", "process_stats"]
 
 LIVE_SNAPSHOT_NAME = "live.json"
 TRAIN_SNAPSHOT_NAME = "train_live.json"
 LIVE_SCHEMA_VERSION = 1
+
+try:
+    _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
+except (AttributeError, OSError, ValueError):
+    _PAGE_SIZE = 4096
+
+#: Module-level so tests (and exotic hosts) can point it elsewhere.
+_STATM_PATH = "/proc/self/statm"
+
+
+def process_stats() -> Dict[str, Optional[float]]:
+    """Cheap self-observation: resident set size and cumulative CPU time.
+
+    Reads ``/proc/self/statm`` where available (Linux) and falls back to
+    ``os.times()`` everywhere, so the live sampler can poll it at high
+    frequency on any platform without psutil. Keys: ``rss_mb`` (``None``
+    when unknowable — non-Linux hosts have no statm; the live sampler
+    skips non-float values, so the series is simply absent there) and
+    ``cpu_seconds`` (user + system of this process).
+    """
+    rss_mb: Optional[float] = None
+    try:
+        with open(_STATM_PATH) as handle:
+            rss_pages = int(handle.read().split()[1])
+        rss_mb = rss_pages * _PAGE_SIZE / (1024.0 * 1024.0)
+    except (OSError, ValueError, IndexError):
+        pass
+    times = os.times()
+    return {"rss_mb": rss_mb, "cpu_seconds": times.user + times.system}
 
 
 class Timeseries:
@@ -614,7 +644,6 @@ class TrainTelemetry(LiveTelemetry):
         :mod:`repro.obs` must not depend on :mod:`repro.nn` at load."""
         from ..nn.functional import conv_workspace_totals
         from ..nn.quant import quant_runtime_totals
-        from ..perf import process_stats
         self.ensure_probe("proc", process_stats)
         self.ensure_probe("workspace", conv_workspace_totals)
         self.ensure_probe("quant", quant_runtime_totals)

@@ -1,9 +1,8 @@
 """Typed metric instruments with one shared registry per run.
 
 Before this module every telemetry producer invented its own shape:
-:class:`~repro.utils.logging.TrainLog` kept lists of record dicts,
-:class:`~repro.perf.PerfRecorder` kept ``StageStats``, and the runtime
-guard logged recovery events as free-form dicts. The :class:`Metrics`
+:class:`~repro.utils.logging.TrainLog` kept lists of record dicts and the
+runtime guard logged recovery events as free-form dicts. The :class:`Metrics`
 registry gives them one vocabulary — counter / gauge / histogram — so a
 run's quantitative state serializes to a single JSON-ready snapshot and
 two runs can be diffed instrument by instrument (``scripts/obs_report.py``).

@@ -2,7 +2,9 @@
 
 The analysis side of :mod:`repro.obs`: :func:`load_run` reads a run
 directory back into memory, :func:`render_run` draws the per-stage
-latency/throughput tree, and :func:`diff_runs` compares two runs —
+latency/throughput tree, :func:`stage_table` folds any list of spans into
+per-name self time, calls, items and shares, and :func:`diff_runs`
+compares two runs —
 Δ wall-clock per span path, Δ deterministic metric values (counters and
 gauges; a same-seed re-run must show zero), histogram count drift, exit
 status, and recovery events. ``scripts/obs_report.py`` is a thin CLI over
@@ -15,7 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .run import MANIFEST_NAME
 from .trace import SpanNode, SpanRecord, build_tree, load_trace
@@ -24,6 +26,7 @@ __all__ = [
     "LoadedRun",
     "load_run",
     "render_run",
+    "stage_table",
     "span_path_totals",
     "metric_deltas",
     "diff_runs",
@@ -137,6 +140,32 @@ def render_run(run: LoadedRun) -> str:
         for name, value in sorted(counters.items()):
             lines.append(f"  {name} = {value:g}")
     return "\n".join(lines)
+
+
+def stage_table(spans: Sequence[SpanRecord]) -> Dict[str, dict]:
+    """Per-name ``self_s``, ``calls``, ``items`` and ``share`` of ``spans``.
+
+    Self seconds are a span's duration minus that of its children in
+    ``spans``, so the self times of one span tree sum to its root's
+    duration and the shares (of the summed self time) sum to one. Spans
+    with the same name sum; ``items`` sums their ``items`` counters.
+    """
+    child_s: Dict[int, float] = {}
+    for record in spans:
+        if record.parent_id is not None:
+            child_s[record.parent_id] = (child_s.get(record.parent_id, 0.0)
+                                         + record.duration_s())
+    rows: Dict[str, dict] = {}
+    for record in sorted(spans, key=lambda r: r.name):
+        row = rows.setdefault(record.name,
+                              {"self_s": 0.0, "calls": 0, "items": 0.0})
+        row["self_s"] += record.duration_s() - child_s.get(record.span_id, 0.0)
+        row["calls"] += 1
+        row["items"] += record.counters.get("items", 0.0)
+    total = sum(row["self_s"] for row in rows.values())
+    for row in rows.values():
+        row["share"] = row["self_s"] / total if total > 0 else 0.0
+    return rows
 
 
 # ----------------------------------------------------------------------

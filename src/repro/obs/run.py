@@ -3,14 +3,14 @@
 A :class:`Run` is the unit of provenance the paper's long multi-stage
 pipelines were missing: every number a run produces is tied to a run id,
 a config digest, the RNG seeds, and the host that produced it. The
-manifest is written atomically (same discipline as
-:mod:`repro.perf.report`) both when the run opens — so a crashed run still
-leaves a ``status: "running"`` manifest behind — and when it closes, with
-the final status and the full metrics snapshot.
+manifest is written atomically (:func:`write_json_atomic`, which the
+versioned ``BENCH_*.json`` reports share) both when the run opens — so a
+crashed run still leaves a ``status: "running"`` manifest behind — and
+when it closes, with the final status and the full metrics snapshot.
 
-Hot paths take ``obs=None`` and stay zero-overhead without a run, exactly
-mirroring the ``perf=None`` convention (:func:`span_scope` is the
-``stage_scope`` analogue).
+Hot paths take ``obs=None`` and stay zero-overhead without a run:
+:func:`span_scope` is the one stage timer, a span when a run is attached
+and a no-op scope otherwise.
 """
 
 from __future__ import annotations
@@ -41,11 +41,16 @@ __all__ = [
     "span_scope",
     "write_json_atomic",
     "append_jsonl",
+    "REPORT_SCHEMA_VERSION",
+    "write_report",
+    "load_report",
 ]
 
 MANIFEST_SCHEMA_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 TRACE_NAME = "trace.jsonl"
+#: Bump when the ``BENCH_*.json`` report layout changes incompatibly.
+REPORT_SCHEMA_VERSION = 1
 
 
 def _config_payload(config: Any) -> Any:
@@ -108,6 +113,29 @@ def append_jsonl(path: str, record: dict) -> None:
         handle.write(line)
         handle.flush()
         os.fsync(handle.fileno())
+
+
+def write_report(path: str, payload: dict) -> dict:
+    """Atomically write a ``BENCH_*.json`` report, stamped with
+    :data:`REPORT_SCHEMA_VERSION`; returns the document written."""
+    document = {"schema_version": REPORT_SCHEMA_VERSION, **payload}
+    write_json_atomic(path, document)
+    return document
+
+
+def load_report(path: str,
+                expected_version: Optional[int] = REPORT_SCHEMA_VERSION) -> dict:
+    """Load a ``BENCH_*.json`` report, validating the schema version when
+    given."""
+    with open(path) as handle:
+        document = json.load(handle)
+    version = document.get("schema_version")
+    if expected_version is not None and version != expected_version:
+        raise ValueError(
+            f"perf report {path!r} has schema_version={version!r}, "
+            f"expected {expected_version}"
+        )
+    return document
 
 
 class Run:
@@ -198,9 +226,13 @@ class Run:
 def span_scope(obs: Optional[Run], name: str, **attrs: Any) -> ContextManager:
     """``obs.span(...)`` when a run (or tracer) is attached, else a no-op.
 
-    The observability analogue of :func:`repro.perf.stage_scope`: hot
-    paths thread ``obs`` through unconditionally and pay nothing when it
-    is ``None``.
+    The one stage timer: hot paths thread ``obs`` through unconditionally
+    and pay nothing when it is ``None``. ``items=n`` starts the span's
+    ``items`` counter (frames, samples), which :func:`~repro.obs.stage_table`
+    and :func:`~repro.obs.render_run` read as throughput::
+
+        with span_scope(obs, "detect.forward", items=len(batch)):
+            ...
     """
     if obs is None:
         return nullcontext()

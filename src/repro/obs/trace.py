@@ -12,7 +12,8 @@ to the sink as JSON lines when they *close* — so the file order is
 completion order, and reconstruction (:func:`load_trace` /
 :func:`build_tree`) re-sorts by id. The sink is buffered but bounded:
 every ``buffer_limit`` closed spans it appends and flushes, so a killed
-process loses at most one buffer of spans, never the whole trace.
+process loses at most one buffer of spans, never the whole trace, and a
+long-lived process holds at most one buffer of closed spans in memory.
 """
 
 from __future__ import annotations
@@ -109,9 +110,12 @@ class SpanNode:
 class Tracer:
     """Collects spans for one run and streams them to a JSONL sink.
 
-    ``sink_path=None`` keeps everything in memory (tests, ephemeral runs).
-    The tracer is single-threaded by design — the whole experiment stack
-    is — so the open-span stack needs no locking.
+    ``sink_path=None`` keeps every span in :attr:`spans` (tests, ephemeral
+    runs). With a sink, :attr:`spans` drops what each flush wrote and keeps
+    only the open spans, so memory stays bounded however long the tracer
+    lives; read closed spans back with :func:`load_trace`. The tracer is
+    single-threaded by design — the whole experiment stack is — so the
+    open-span stack needs no locking.
     """
 
     def __init__(self, sink_path: Optional[str] = None, buffer_limit: int = 64):
@@ -127,14 +131,17 @@ class Tracer:
 
     # ------------------------------------------------------------------
     @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[SpanRecord]:
-        """Open one span; nests under the currently open span."""
+    def span(self, name: str, items: Optional[float] = None,
+             **attrs: Any) -> Iterator[SpanRecord]:
+        """Open one span; nests under the currently open span. ``items``
+        (units of work: frames, samples) starts its ``items`` counter."""
         record = SpanRecord(
             span_id=self._next_id,
             parent_id=self._stack[-1].span_id if self._stack else None,
             name=name,
             start_s=time.perf_counter() - self._origin,
             attrs=dict(attrs),
+            counters={} if items is None else {"items": float(items)},
         )
         self._next_id += 1
         self.spans.append(record)
@@ -169,7 +176,8 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Append buffered closed spans to the sink and fsync-flush it."""
+        """Append buffered closed spans to the sink and fsync-flush it;
+        a tracer with a sink then keeps only its open spans in memory."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
@@ -180,6 +188,7 @@ class Tracer:
                 handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
+        self.spans = list(self._stack)
 
 
 def load_trace(path: str) -> List[SpanRecord]:

@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..obs import span_scope
-from ..perf import stage_scope
 from .pool import PoolCounters, WorkerPool, WorkSpec
 from .reduce import tree_reduce
 
@@ -67,13 +66,12 @@ class ParallelEvaluator:
 
     def __init__(self, spec: WorkSpec, workers: int, *,
                  task_timeout: float = 120.0, max_task_retries: int = 2,
-                 obs=None, perf=None, name: str = "parallel"):
+                 obs=None, name: str = "parallel"):
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.spec = spec
         self.workers = workers
         self.obs = obs
-        self.perf = perf
         self.name = name
         self._local_ctx: Any = None
         self._pool: Optional[WorkerPool] = None
@@ -128,7 +126,7 @@ class ParallelEvaluator:
 
         out = StepOutput(grads={key: [None] * n_samples for key in grad_keys},
                          scalars=[None] * n_samples)
-        with stage_scope(self.perf, f"{self.name}.collect", items=n_samples):
+        with span_scope(self.obs, f"{self.name}.collect", items=n_samples):
             for sample_index, grads, scalars in rows:
                 if out.scalars[sample_index] is not None:
                     raise RuntimeError(
@@ -146,23 +144,19 @@ class ParallelEvaluator:
         if self._local_ctx is None:
             self._local_ctx = self.spec.init_fn(self.spec.init_payload)
         rows: List[tuple] = []
-        with span_scope(self.obs, f"{self.name}.dispatch", tasks=len(tasks),
+        with span_scope(self.obs, f"{self.name}.dispatch", items=len(tasks),
                         workers=0):
-            with stage_scope(self.perf, f"{self.name}.dispatch",
-                             items=len(tasks)):
-                for task in tasks:
-                    rows.extend(self.spec.work_fn(self._local_ctx, params, task))
+            for task in tasks:
+                rows.extend(self.spec.work_fn(self._local_ctx, params, task))
         return rows
 
     def _evaluate_pool(self, params, tasks) -> List[tuple]:
         assert self._pool is not None
-        with stage_scope(self.perf, f"{self.name}.broadcast"):
+        with span_scope(self.obs, f"{self.name}.broadcast"):
             self._pool.broadcast(params)
-        with span_scope(self.obs, f"{self.name}.dispatch", tasks=len(tasks),
+        with span_scope(self.obs, f"{self.name}.dispatch", items=len(tasks),
                         workers=self.workers):
-            with stage_scope(self.perf, f"{self.name}.dispatch",
-                             items=len(tasks)):
-                scalar_rows = self._pool.run_tasks(tasks)
+            scalar_rows = self._pool.run_tasks(tasks)
         # Copy each sample's gradients out of the slab *before* the next
         # broadcast can touch it; scalar rows tell us which slots are live.
         rows: List[tuple] = []
@@ -176,19 +170,15 @@ class ParallelEvaluator:
     def reduce(self, per_sample: Sequence[np.ndarray]) -> np.ndarray:
         """Fixed-tree sum of per-sample arrays (see module docstring)."""
         with span_scope(self.obs, f"{self.name}.reduce",
-                        operands=len(per_sample)):
-            with stage_scope(self.perf, f"{self.name}.reduce",
-                             items=len(per_sample)):
-                return tree_reduce(per_sample)
+                        items=len(per_sample)):
+            return tree_reduce(per_sample)
 
     def reduce_grads(self, out: StepOutput) -> Dict[str, np.ndarray]:
         """Key-wise fixed-tree reduction of an evaluate round's gradients."""
         with span_scope(self.obs, f"{self.name}.reduce",
-                        keys=len(out.grads), operands=out.n_samples):
-            with stage_scope(self.perf, f"{self.name}.reduce",
-                             items=out.n_samples):
-                return {key: tree_reduce(values)
-                        for key, values in out.grads.items()}
+                        items=out.n_samples, keys=len(out.grads)):
+            return {key: tree_reduce(values)
+                    for key, values in out.grads.items()}
 
     def _mirror_counters(self) -> None:
         if self.obs is None or self._pool is None:

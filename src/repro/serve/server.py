@@ -44,10 +44,9 @@ from ..detection.model import TinyYolo
 from ..nn.functional import conv_workspace_totals
 from ..nn.quant import QuantizationError, quant_runtime_totals
 from ..obs import Run
-from ..obs.live import LiveConfig, LiveTelemetry
+from ..obs.live import LiveConfig, LiveTelemetry, process_stats
 from ..obs.run import write_json_atomic
 from ..obs.trace import Tracer
-from ..perf import process_stats
 from .backends import InprocBackend, PoolBackend
 from .config import AdmissionError, ServeConfig, ServerClosed
 from .scheduler import (

@@ -11,7 +11,7 @@ import pytest
 
 from repro.av import AvPipeline
 from repro.detection import TinyYolo, reduced_config
-from repro.perf import PerfRecorder
+from repro.obs import Run, load_trace, stage_table
 from repro.runtime import FaultSchedule
 
 pytestmark = pytest.mark.perf
@@ -126,12 +126,14 @@ class TestBatchedPipelineParity:
         assert ([t.sensor_fault for t in batched]
                 == [frame is None for frame in stream])
 
-    def test_perf_recorder_sees_all_stages(self, pipeline, rng):
+    def test_perf_recorder_sees_all_stages(self, pipeline, rng, tmp_path):
         frames = make_frames(rng, n=6)
-        perf = PerfRecorder()
-        pipeline.run(frames, batch_size=3, perf=perf)
-        for stage in ("forward", "decode", "nms", "confirm"):
-            assert perf.stage_seconds(stage) > 0.0
-        assert perf.counters["frames"] == 6
-        assert perf.counters["batches"] == 2
-        assert perf.fps("forward") > 0.0
+        with Run(str(tmp_path / "run")) as run:
+            pipeline.run(frames, batch_size=3, obs=run)
+        stages = stage_table(load_trace(run.trace_path))
+        for stage in ("detect.forward", "detect.decode", "detect.nms",
+                      "pipeline.confirm"):
+            assert stages[stage]["self_s"] > 0.0
+        assert stages["pipeline.run"]["items"] == 6
+        assert stages["detect.forward"]["calls"] == 2
+        assert stages["detect.forward"]["items"] == 6

@@ -151,18 +151,3 @@ class TestProducersPublish:
     def test_guard_without_metrics_still_raises(self):
         with pytest.raises(DivergenceError):
             DivergenceGuard().check(0, loss=float("inf"))
-
-    def test_perf_publish_counts_are_deterministic_surface(self):
-        from repro.perf import PerfRecorder
-
-        perf = PerfRecorder()
-        with perf.stage("forward", items=8):
-            pass
-        perf.count("frames", 8)
-        metrics = Metrics()
-        perf.publish(metrics, prefix="perf.unit")
-        snap = metrics.snapshot()
-        assert snap["counters"]["perf.unit.forward.calls"] == 1.0
-        assert snap["counters"]["perf.unit.forward.items"] == 8.0
-        assert snap["counters"]["perf.unit.frames"] == 8.0
-        assert snap["histograms"]["perf.unit.forward.seconds"]["count"] == 1

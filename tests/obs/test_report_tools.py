@@ -8,18 +8,20 @@ import pytest
 
 from repro.obs import (
     MANIFEST_SCHEMA_VERSION,
+    REPORT_SCHEMA_VERSION,
     Run,
     append_jsonl,
     config_digest,
     diff_runs,
     host_info,
+    load_report,
     load_run,
     metric_deltas,
     render_diff,
     render_run,
     span_path_totals,
+    write_report,
 )
-from repro.perf import REPORT_SCHEMA_VERSION, load_report, write_report
 
 pytestmark = pytest.mark.obs
 
@@ -168,3 +170,36 @@ class TestDiff:
         diff = diff_runs(a, b)
         assert diff["recovery"]["b"] == {"events.divergence_recovery": 2.0}
         assert "divergence_recovery" in render_diff(diff)
+
+
+class TestReportIo:
+    def test_roundtrip(self, tmp_path):
+        path = str(tmp_path / "BENCH_test.json")
+        document = write_report(path, {"batched_fps": 123.0})
+        assert document["schema_version"] == REPORT_SCHEMA_VERSION
+        loaded = load_report(path)
+        assert loaded["batched_fps"] == 123.0
+
+    def test_version_mismatch_raises(self, tmp_path):
+        path = str(tmp_path / "BENCH_test.json")
+        path2 = str(tmp_path / "BENCH_bad.json")
+        with open(path, "w") as handle:
+            json.dump({"schema_version": 999}, handle)
+        with pytest.raises(ValueError, match="schema_version"):
+            load_report(path)
+        with open(path2, "w") as handle:
+            json.dump({}, handle)
+        with pytest.raises(ValueError):
+            load_report(path2)
+
+    def test_version_check_can_be_skipped(self, tmp_path):
+        path = str(tmp_path / "BENCH_test.json")
+        with open(path, "w") as handle:
+            json.dump({"schema_version": 999, "x": 1}, handle)
+        assert load_report(path, expected_version=None)["x"] == 1
+
+    def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
+        path = str(tmp_path / "BENCH_test.json")
+        write_report(path, {"a": 1})
+        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
+        assert leftovers == []

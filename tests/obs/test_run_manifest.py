@@ -12,6 +12,7 @@ from repro.obs import (
     Run,
     config_digest,
     host_info,
+    load_trace,
     span_scope,
 )
 
@@ -115,5 +116,6 @@ class TestSpanScope:
         with Run(str(tmp_path / "run"), name="t") as run:
             with span_scope(run, "stage", k=2):
                 pass
-        assert run.tracer.spans[0].name == "stage"
-        assert run.tracer.spans[0].attrs == {"k": 2}
+        spans = load_trace(run.trace_path)
+        assert spans[0].name == "stage"
+        assert spans[0].attrs == {"k": 2}

@@ -75,6 +75,23 @@ class TestSink:
         assert len(lines) == 2
         assert {json.loads(line)["name"] for line in lines} == {"a", "b"}
 
+    def test_sink_bounds_memory_to_open_spans(self, tmp_path):
+        """A tracer with a sink keeps no closed span past its flush, so a
+        long-lived tracer (one span per served batch) stays bounded."""
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sink_path=str(path), buffer_limit=4)
+        with tracer.span("root"):
+            for index in range(10):
+                with tracer.span("child", index=index):
+                    pass
+                assert len(tracer.spans) <= 4
+        assert len(tracer.spans) <= 4
+        tracer.flush()
+        assert tracer.spans == []
+        spans = load_trace(str(path))
+        assert len(path.read_text().splitlines()) == 11
+        assert [s.name for s in spans] == ["root"] + ["child"] * 10
+
     def test_explicit_flush_drains_buffer(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(sink_path=str(path), buffer_limit=100)

@@ -6,11 +6,13 @@ import os
 
 import pytest
 
+import repro.obs.live as live_module
 from repro.obs import (
     LIVE_SNAPSHOT_NAME,
     LiveConfig,
     LiveTelemetry,
     load_live_snapshot,
+    process_stats,
 )
 
 pytestmark = pytest.mark.obslive
@@ -191,3 +193,31 @@ def test_start_stop_thread_lifecycle(tmp_path):
         pass
     assert live.ticks >= 1  # stop() takes a final sample
     assert os.path.exists(os.path.join(tmp_path, LIVE_SNAPSHOT_NAME))
+
+
+class TestProcessStats:
+    def test_normal_path_reports_rss_and_cpu(self):
+        stats = process_stats()
+        assert stats["cpu_seconds"] >= 0.0
+        if os.path.exists("/proc/self/statm"):
+            assert stats["rss_mb"] > 0.0
+
+    def test_missing_statm_degrades_to_none(self, monkeypatch):
+        """Satellite fix: a host without /proc/self/statm (macOS,
+        restricted containers) must get None-valued stats, not a raise."""
+        monkeypatch.setattr(live_module, "_STATM_PATH",
+                            "/nonexistent/statm-for-test")
+        stats = live_module.process_stats()
+        assert stats["rss_mb"] is None
+        assert isinstance(stats["cpu_seconds"], float)
+
+    def test_live_sampler_skips_none_valued_stats(self, monkeypatch):
+        """The live probe path: a None gauge is dropped for the tick
+        instead of poisoning the series or killing the sampler."""
+        monkeypatch.setattr(live_module, "_STATM_PATH",
+                            "/nonexistent/statm-for-test")
+        live = LiveTelemetry()
+        live.add_probe("proc", live_module.process_stats)
+        observed = live.sample_once(1.0)
+        assert "proc.rss_mb" not in observed
+        assert "proc.cpu_seconds" in observed
