@@ -2,11 +2,15 @@
 """Load-test the detection server and emit ``BENCH_serve.json``.
 
 Drives :class:`repro.serve.DetectionServer` (DESIGN.md §11) through up
-to three phases:
+to four phases:
 
 * **steady** — N simulated closed-loop clients, one session each,
   streaming frames as fast as their responses return; reports p50/p99
   request latency and sustained frames/sec across all clients.
+* **open loop** — 2 cameras at 30 frames/s each, phase-offset, sending
+  on schedule whatever the answers do; latency runs from each frame's
+  due time. Co-batchers rarely arrive here, so this is the phase where
+  the batch window costs latency.
 * **overload** — an open-loop burst of several times ``queue_capacity``
   into a deliberately tiny server; asserts the robustness contract:
   queue depth stays ≤ capacity (bounded by construction) and the
@@ -15,9 +19,13 @@ to three phases:
   mid-run; asserts every admitted request resolves exactly once and the
   pool respawned the dead slot.
 
+Every phase that serves records p50/p99 and the per-stage split of its
+``ok`` responses (admit, queue, pool, forward, postprocess, delivery).
+
 Re-run with ``--check`` in CI to gate a change against the committed
 report (generous tolerance: serving numbers on a loaded 1-core box are
-noisier than the in-process hot path).
+noisier than the in-process hot path), and on a ratio taken within the
+run: open-loop p50 over the in-process batch-1 detect time.
 
 Usage::
 
@@ -29,6 +37,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import signal
 import sys
@@ -40,7 +49,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.detection import TinyYolo, reduced_config  # noqa: E402
+from repro.detection import TinyYolo, batched_detections, reduced_config  # noqa: E402
 from repro.obs import (  # noqa: E402
     MANIFEST_SCHEMA_VERSION,
     Run,
@@ -52,7 +61,7 @@ from repro.obs import (  # noqa: E402
 )
 from repro.obs.history import check_trend  # noqa: E402
 from repro.obs.live import LiveConfig  # noqa: E402
-from repro.serve import DetectionServer, RequestStatus, ServeConfig  # noqa: E402
+from repro.serve import STAGES, DetectionServer, RequestStatus, ServeConfig  # noqa: E402
 
 DEFAULT_REPORT = os.path.join(os.path.dirname(__file__), "..", "BENCH_serve.json")
 DEFAULT_HISTORY = os.path.join(os.path.dirname(__file__), "..", "BENCH_history.jsonl")
@@ -60,6 +69,18 @@ DEFAULT_HISTORY = os.path.join(os.path.dirname(__file__), "..", "BENCH_history.j
 #: by this fraction before the gate fails. Serving involves process
 #: scheduling, so the band is wider than bench_hotpath's 20%.
 REGRESSION_TOLERANCE = 0.35
+#: Open-loop phase: cameras, frames/s per camera, seconds of sending.
+OPEN_LOOP_CAMERAS = 2
+OPEN_LOOP_FPS = 30.0
+OPEN_LOOP_SECONDS = 2.0
+#: --check bound on open-loop p50 / in-process batch-1 detect time, both
+#: from the same run. Fixed from 12 runs per side on a 2-vCPU host: the
+#: idle-window cut read 1.96-3.60, the window-only cut before it (every
+#: lone frame waits out the 4 ms window) read 4.34-7.44. The ratio
+#: separates the two only while the window is large against a detect.
+OPEN_LOOP_RATIO_BOUND = 4.0
+#: In-process batch-1 detects timed for the ratio's base (the fastest).
+DETECT_REPEATS = 50
 
 
 def bench_config(args: argparse.Namespace) -> dict:
@@ -135,6 +156,38 @@ def _kill_one_worker(server: DetectionServer, wait_s: float = 10.0) -> bool:
     return False
 
 
+def percentiles_ms(seconds: list) -> dict:
+    return {"p50_ms": round(1e3 * float(np.percentile(seconds, 50)), 3),
+            "p99_ms": round(1e3 * float(np.percentile(seconds, 99)), 3)}
+
+
+def stage_split(responses: list) -> dict:
+    """p50/p99 of each latency stage over a phase's ``ok`` responses."""
+    ok = [resp.stages for resp in responses
+          if resp.status == RequestStatus.OK and resp.stages]
+    if not ok:
+        return {}
+    return {name: percentiles_ms([stages[name] for stages in ok])
+            for name in STAGES}
+
+
+def detect_batch1_ms(args: argparse.Namespace, detector: TinyYolo) -> float:
+    """Ms of one in-process batch-1 detect on the lowered plan — the work
+    one open-loop frame costs a worker, with no serving. The fastest of
+    ``DETECT_REPEATS``: on a shared 2-vCPU host their median moved
+    between 1.2 and 2.6 ms from run to run, their minimum by a tenth."""
+    plan = detector.lower()
+    frame = make_frames(args, 1, seed=args.seed + 99)
+    for _ in range(5):
+        batched_detections(plan, frame, batch_size=1)
+    times = []
+    for _ in range(DETECT_REPEATS):
+        start = time.perf_counter()
+        batched_detections(plan, frame, batch_size=1)
+        times.append(time.perf_counter() - start)
+    return 1e3 * min(times)
+
+
 def run_closed_loop(args: argparse.Namespace, server: DetectionServer,
                     chaos: bool = False) -> dict:
     """N client threads, each submit→await→submit over its own session.
@@ -158,6 +211,7 @@ def run_closed_loop(args: argparse.Namespace, server: DetectionServer,
                         and frame_index == args.frames_per_client // 3):
                     kill_done.wait(timeout=15.0)
                 responses.append(server.submit(session, frame).result(timeout=120))
+            server.close_session(session)
             results[index] = responses
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append((index, repr(exc)))
@@ -181,6 +235,7 @@ def run_closed_loop(args: argparse.Namespace, server: DetectionServer,
     # terminal status.
     statuses: dict = {}
     latencies = []
+    answered = []
     for index, responses in enumerate(results):
         if responses is None:
             raise SystemExit(f"FATAL: client {index} never completed")
@@ -188,6 +243,7 @@ def run_closed_loop(args: argparse.Namespace, server: DetectionServer,
         if seqs != list(range(args.frames_per_client)):
             raise SystemExit(
                 f"FATAL: client {index} responses dropped/duplicated: {seqs}")
+        answered += responses
         for resp in responses:
             statuses[resp.status] = statuses.get(resp.status, 0) + 1
             if resp.status == RequestStatus.OK:
@@ -205,6 +261,71 @@ def run_closed_loop(args: argparse.Namespace, server: DetectionServer,
         "sustained_fps": round(total / wall, 2),
         "latency_p50_ms": round(1e3 * float(np.percentile(latencies, 50)), 2),
         "latency_p99_ms": round(1e3 * float(np.percentile(latencies, 99)), 2),
+        "stages_ms": stage_split(answered),
+    }
+
+
+def run_open_loop(args: argparse.Namespace, server: DetectionServer,
+                  detect_ms: float) -> dict:
+    """Cameras sending on a fixed schedule: ``OPEN_LOOP_CAMERAS``
+    sessions at ``OPEN_LOOP_FPS`` each, offset by an equal share of the
+    frame period, for ``OPEN_LOOP_SECONDS``. Each latency runs from the
+    frame's due time to its answer, so a stall also charges the frames
+    due during it. ``detect_ms`` (the in-process batch-1 detect time of
+    the same run) is the base of the phase's gated ratio."""
+    period = 1.0 / OPEN_LOOP_FPS
+    per_camera = int(round(OPEN_LOOP_SECONDS * OPEN_LOOP_FPS))
+    frames = make_frames(args, 8, seed=args.seed + 4242)
+    sessions = [server.open_session(f"camera-{camera}")
+                for camera in range(OPEN_LOOP_CAMERAS)]
+    start = time.perf_counter() + period
+    schedule = sorted(
+        (start + (index + camera / OPEN_LOOP_CAMERAS) * period, camera)
+        for camera in range(OPEN_LOOP_CAMERAS) for index in range(per_camera))
+    answered_at: dict = {}
+    finished = threading.Semaphore(0)
+
+    def on_done(index: int, _future) -> None:
+        answered_at[index] = time.perf_counter()
+        finished.release()
+
+    futures, late = [], []
+    for index, (due, camera) in enumerate(schedule):
+        delay = due - time.perf_counter()
+        if delay > 0:
+            time.sleep(delay)
+        late.append(max(0.0, time.perf_counter() - due))
+        future = server.submit(sessions[camera], frames[index % len(frames)])
+        future.add_done_callback(functools.partial(on_done, index))
+        futures.append(future)
+    for _ in futures:
+        if not finished.acquire(timeout=120):
+            raise SystemExit("FATAL: an open-loop request was never answered")
+    for session in sessions:
+        server.close_session(session)
+    responses = [future.result() for future in futures]
+    statuses: dict = {}
+    for resp in responses:
+        statuses[resp.status] = statuses.get(resp.status, 0) + 1
+    if statuses.get(RequestStatus.OK, 0) != len(schedule):
+        raise SystemExit(
+            f"FATAL: expected {len(schedule)} ok open-loop responses, "
+            f"got {statuses}")
+    latencies = [answered_at[index] - due
+                 for index, (due, _) in enumerate(schedule)]
+    p50_ms = 1e3 * float(np.percentile(latencies, 50))
+    return {
+        "cameras": OPEN_LOOP_CAMERAS,
+        "fps_per_camera": OPEN_LOOP_FPS,
+        "requests": len(schedule),
+        "statuses": statuses,
+        "latency_p50_ms": round(p50_ms, 2),
+        "latency_p99_ms": round(1e3 * float(np.percentile(latencies, 99)), 2),
+        "generator_late_p99_ms": round(
+            1e3 * float(np.percentile(late, 99)), 3),
+        "stages_ms": stage_split(responses),
+        "detect_batch1_ms": round(detect_ms, 3),
+        "p50_over_detect": round(p50_ms / detect_ms, 3),
     }
 
 
@@ -263,6 +384,7 @@ def warm_up(args: argparse.Namespace, server: DetectionServer) -> None:
 
 def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
     detector = build_detector(args)
+    detect_ms = detect_batch1_ms(args, detector)
 
     live = None
     if obs is not None and args.live:
@@ -274,6 +396,7 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
         warm_up(args, server)
         steady = run_closed_loop(args, server)
         steady_snap = server.snapshot()
+        open_loop = run_open_loop(args, server, detect_ms)
     finally:
         server.close()
     steady["mean_batch_occupancy"] = round(
@@ -282,7 +405,8 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
     if steady_snap["degraded_batches"]:
         steady["degraded_batches"] = steady_snap["degraded_batches"]
 
-    phases = {"steady": steady, "overload": run_overload(args)}
+    phases = {"steady": steady, "open_loop": open_loop,
+              "overload": run_overload(args)}
 
     if args.chaos:
         server = DetectionServer(detector, serve_config(args))
@@ -312,6 +436,7 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
         "sustained_fps": steady["sustained_fps"],
         "latency_p50_ms": steady["latency_p50_ms"],
         "latency_p99_ms": steady["latency_p99_ms"],
+        "open_loop_p50_over_detect": open_loop["p50_over_detect"],
         "phases": phases,
     }
 
@@ -339,6 +464,22 @@ def check_regression(report_path: str, payload: dict) -> int:
     return status
 
 
+def check_open_loop(open_loop: dict) -> int:
+    """Third part of the --check gate, taken within one run: open-loop
+    p50 over the in-process batch-1 detect time. A lone frame on an idle
+    server should cost about one detect plus the hand-off, not a batch
+    window on top."""
+    ratio = open_loop["p50_over_detect"]
+    print(f"open-loop p50 {open_loop['latency_p50_ms']:.2f} ms / in-process "
+          f"batch-1 detect {open_loop['detect_batch1_ms']:.2f} ms = "
+          f"{ratio:.2f}  bound: {OPEN_LOOP_RATIO_BOUND:.2f}")
+    if ratio > OPEN_LOOP_RATIO_BOUND:
+        print("FAIL: open-loop latency over its bound")
+        return 1
+    print("OK: open-loop latency within its bound")
+    return 0
+
+
 def check_history_trend(history_path: str, payload: dict) -> int:
     """Second half of the --check gate: both steady-state headline
     numbers against the robust median/MAD band of the append-only
@@ -358,7 +499,7 @@ def check_history_trend(history_path: str, payload: dict) -> int:
     return status
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=8,
                         help="simulated concurrent client streams")
@@ -399,6 +540,18 @@ def main(argv=None) -> int:
     if args.live and not args.obs_dir:
         parser.error("--live requires --obs-dir (telemetry files land in "
                      "the run directory)")
+    return args
+
+
+def print_stages(stages: dict) -> None:
+    if stages:
+        print("  stages p50/p99 ms: " + "  ".join(
+            f"{name} {entry['p50_ms']:.2f}/{entry['p99_ms']:.2f}"
+            for name, entry in stages.items()))
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
 
     if args.obs_dir:
         with Run(args.obs_dir, name="bench_serve",
@@ -411,7 +564,16 @@ def main(argv=None) -> int:
     print(f"steady: {steady['requests']} requests over {args.clients} "
           f"clients -> {steady['sustained_fps']:.2f} fps   "
           f"p50 {steady['latency_p50_ms']:.1f} ms   "
-          f"p99 {steady['latency_p99_ms']:.1f} ms   mode={steady['mode']}")
+          f"p99 {steady['latency_p99_ms']:.1f} ms   mode={steady['mode']}   "
+          f"occupancy {steady['mean_batch_occupancy']:.2f}")
+    print_stages(steady["stages_ms"])
+    open_loop = payload["phases"]["open_loop"]
+    print(f"open loop: {open_loop['requests']} requests from "
+          f"{open_loop['cameras']} cameras at {open_loop['fps_per_camera']:g} "
+          f"fps -> p50 {open_loop['latency_p50_ms']:.1f} ms   "
+          f"p99 {open_loop['latency_p99_ms']:.1f} ms   (batch-1 detect "
+          f"{open_loop['detect_batch1_ms']:.2f} ms in-process)")
+    print_stages(open_loop["stages_ms"])
     overload = payload["phases"]["overload"]
     print(f"overload: {overload['submitted']} burst into capacity "
           f"{overload['queue_capacity']} -> shed {overload['shed']}, "
@@ -420,12 +582,15 @@ def main(argv=None) -> int:
         chaos = payload["phases"]["chaos"]
         print(f"chaos: worker killed mid-run -> {chaos['statuses']} "
               f"(deaths {chaos['worker_deaths']}, respawns "
-              f"{chaos['respawns']})")
+              f"{chaos['respawns']})   p50 {chaos['latency_p50_ms']:.1f} ms   "
+              f"p99 {chaos['latency_p99_ms']:.1f} ms")
+        print_stages(chaos["stages_ms"])
 
     status = 0
     if args.check:
         status = check_regression(args.output, payload)
         status = max(status, check_history_trend(args.history, payload))
+        status = max(status, check_open_loop(open_loop))
     else:
         write_report(args.output, payload)
         print(f"wrote {os.path.abspath(args.output)}")
@@ -440,6 +605,7 @@ def main(argv=None) -> int:
             "sustained_fps": payload["sustained_fps"],
             "latency_p50_ms": payload["latency_p50_ms"],
             "latency_p99_ms": payload["latency_p99_ms"],
+            "open_loop_p50_over_detect": payload["open_loop_p50_over_detect"],
         })
     return status
 

@@ -263,6 +263,20 @@ _TRAIN_KEY_SERIES = ("train.loss", "train.grad_norm", "train.steps_per_s",
                      "train.progress", "train.checkpoint_age_s",
                      "proc.rss_mb", "workspace.buffer_bytes")
 
+#: Pipeline order of the serving latency stages (``repro.serve.STAGES``);
+#: ``serve_stats.json`` stores them key-sorted.
+_SERVE_STAGE_ORDER = ("admit", "queue", "pool", "forward", "postprocess",
+                      "delivery")
+
+
+def _serve_stages(stats: dict) -> List[tuple]:
+    """``stats["stages_ms"]`` as ``(stage, entry)`` rows in pipeline order."""
+    stages = stats.get("stages_ms") or {}
+    rank = {name: index for index, name in enumerate(_SERVE_STAGE_ORDER)}
+    return sorted(stages.items(),
+                  key=lambda item: rank.get(item[0], len(rank)))
+
+
 #: Per-pool health fields shown in the worker grid (last value each).
 _POOL_HEALTH_KEYS = ("workers_alive", "utilization", "in_flight", "pending",
                      "respawns", "requeues", "timeouts", "worker_deaths")
@@ -373,6 +387,12 @@ def render_tty(dash: dict, series_limit: int = 16) -> str:
             if "precision" in stats:
                 mode_line += f"  precision={stats['precision']}"
             lines.append(mode_line)
+        stages = _serve_stages(stats)
+        if stages:
+            lines.append(f"  {'stage':<12s} {'p50 ms':>8s} {'p99 ms':>8s}")
+            for name, entry in stages:
+                lines.append(f"  {name:<12s} {_fmt(entry.get('p50'), 3):>8s} "
+                             f"{_fmt(entry.get('p99'), 3):>8s}")
 
     live = dash.get("live")
     train = dash.get("train_live")
@@ -615,7 +635,19 @@ def render_html(dash: dict, title: str = "repro observability") -> str:
                 ("batch fill", "mean_batch_occupancy", "")):
             if key in stats:
                 parts.append(_tile(label, stats.get(key), unit))
-        parts.append("</div></div>")
+        parts.append("</div>")
+        stages = _serve_stages(stats)
+        if stages:
+            parts.append('<table><tr><th>stage</th><th class="num">p50 ms</th>'
+                         '<th class="num">p99 ms</th></tr>')
+            for name, entry in stages:
+                parts.append(
+                    f'<tr><td class="series-name">{_esc(name)}</td>'
+                    f'<td class="num">{_esc(_fmt(entry.get("p50"), 3))}</td>'
+                    f'<td class="num">{_esc(_fmt(entry.get("p99"), 3))}</td>'
+                    "</tr>")
+            parts.append("</table>")
+        parts.append("</div>")
 
     live = dash.get("live")
     if live:

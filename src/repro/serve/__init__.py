@@ -8,7 +8,8 @@ server:
   batch window, deadlines, retry-once, degraded fallback);
 * :mod:`.scheduler` — process-free scheduling primitives: the bounded
   shared-memory frame store, the batch-cut deadline policy, the
-  request/response vocabulary, and the thread-safe stats ledger;
+  request/response vocabulary with its per-stage latency split, and the
+  thread-safe, bounded stats ledger;
 * :mod:`.backends` — where batches run: the ``repro.parallel`` worker
   pool (scale path) or serial in-process inference (degraded mode);
 * :mod:`.workers` — spawn-side detector workers and the slab/wire
@@ -17,13 +18,15 @@ server:
   sessions, futures, the scheduler thread, chaos-tested recovery.
 
 Benchmarked by ``scripts/bench_serve.py`` (``BENCH_serve.json``): p50/p99
-latency and sustained frames/sec at N simulated clients, plus overload
-(bounded shed) and chaos (worker SIGKILL) phases.
+latency, the stage split and sustained frames/sec at N simulated
+closed-loop clients, an open-loop camera phase, plus overload (bounded
+shed) and chaos (worker SIGKILL) phases.
 """
 
 from .backends import InprocBackend, PoolBackend
 from .config import AdmissionError, ServeConfig, ServerClosed
 from .scheduler import (
+    STAGES,
     DetectionResponse,
     FrameStore,
     PendingRequest,
@@ -43,6 +46,7 @@ __all__ = [
     "PendingRequest",
     "RequestStatus",
     "ServeStats",
+    "STAGES",
     "batch_cut",
     "next_wake",
     "InprocBackend",

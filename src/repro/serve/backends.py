@@ -14,8 +14,9 @@ The scheduler speaks one tiny interface — ``submit(task) -> task_id`` /
   fallback path needs.
 
 Both return rows in the pool's post-strip wire format (``(slot,
-encoded)`` — the pool drops each row's grads dict before queueing it),
-so the server decodes responses identically either way.
+(encoded, forward_s, postprocess_s))`` — the pool drops each row's grads
+dict before queueing it), so the server decodes responses identically
+either way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional
 
-from ..detection.decode import batched_detections
 from ..detection.model import TinyYolo
 from ..nn.quant import resolve_inference_model
 from ..parallel import PoolCounters, TaskOutcome, WorkerPool, WorkSpec
@@ -31,8 +31,8 @@ from .config import ServeConfig
 from .scheduler import FrameStore
 from .workers import (
     ServeWorkerPayload,
+    detect_batch,
     detector_param_specs,
-    encode_detections,
     serve_worker_infer,
     serve_worker_init,
 )
@@ -75,14 +75,10 @@ class InprocBackend:
             try:
                 slots = list(task["slots"])
                 frames = [self._store.read(slot) for slot in slots]
-                per_frame = batched_detections(
+                rows = list(zip(slots, detect_batch(
                     self._infer_model, frames, conf_threshold=self._conf,
                     iou_threshold=self._iou,
-                    max_detections=self._max_detections,
-                    batch_size=max(1, len(frames)),
-                )
-                rows = [(slot, encode_detections(dets))
-                        for slot, dets in zip(slots, per_frame)]
+                    max_detections=self._max_detections)))
                 outcomes.append(TaskOutcome(task_id, "done", rows=rows))
             except Exception as exc:  # complete, don't crash the scheduler
                 outcomes.append(TaskOutcome(task_id, "error", error=repr(exc)))

@@ -39,7 +39,11 @@ class ServeConfig:
     batch_window_s:
         Longest a queued request may wait for co-batchers before a
         partial batch is dispatched anyway — the latency half of the
-        latency-vs-throughput deadline policy. ``0`` dispatches eagerly.
+        latency-vs-throughput deadline policy. It applies only while a
+        co-batcher can still arrive: while a batch is in flight, or
+        within one window of the last completion (closed-loop clients
+        resubmit right after their answers). A backend idle for a whole
+        window serves the queue at once. ``0`` dispatches eagerly.
     queue_capacity:
         The bounded request pool: queued **plus** in-flight frames. A
         submit that finds no free slot is shed immediately with status

@@ -50,6 +50,7 @@ from ..obs.trace import Tracer
 from .backends import InprocBackend, PoolBackend
 from .config import AdmissionError, ServeConfig, ServerClosed
 from .scheduler import (
+    STAGES,
     DetectionResponse,
     FrameStore,
     PendingRequest,
@@ -69,6 +70,19 @@ SERVE_STATS_SCHEMA_VERSION = 1
 #: Init failures (relative to the worker count) after which the pool is
 #: declared unbuildable and the server drops to degraded mode.
 _INIT_FAILURE_FACTOR = 2
+
+#: Upper bounds (seconds) of the ``serve.stage.<name>_s`` histograms:
+#: stages run from tens of microseconds (admit) to a whole forward.
+_STAGE_BUCKETS = (0.0001, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
+                  0.1, 0.5, 1.0, 5.0, float("inf"))
+
+#: ``ServeStats`` series folded into obs histograms by each mirror.
+_MIRRORED_SERIES = (
+    ("latency", "serve.latency_s", None),
+    ("occupancy", "serve.batch_occupancy",
+     (1, 2, 4, 8, 16, 32, float("inf"))),
+) + tuple((stage, f"serve.stage.{stage}_s", _STAGE_BUCKETS)
+          for stage in STAGES)
 
 
 def _shed_rate(live: LiveTelemetry, now: float) -> Optional[float]:
@@ -171,13 +185,17 @@ class DetectionServer:
         self._pool_ok_batches = 0
         self._pool_failure_streak = 0
 
+        # The batch-cut policy's one value (scheduler thread only): the
+        # time since which no batch has been in flight, None while one
+        # is. -inf before the first batch: no client is about to resubmit.
+        self._idle_since: Optional[float] = float("-inf")
+
         # Delta-based mirror state: what has already been folded into the
-        # obs metrics registry, so periodic mirrors + the final one at
+        # obs metrics registry (counter values, and each sample series'
+        # sequence number), so periodic mirrors + the final one at
         # close() sum to exactly the ledger totals (no double-counting).
         self._mirror_lock = threading.Lock()
         self._mirrored: Dict[str, float] = {}
-        self._mirrored_latencies = 0
-        self._mirrored_occupancy = 0
         self._last_mirror_t = time.monotonic()
 
         self._store = FrameStore(detector.config.input_size,
@@ -273,6 +291,7 @@ class DetectionServer:
         ``"shed"`` and an incremented shed counter, instead of joining an
         unbounded queue.
         """
+        entered = time.monotonic()
         if not session.open:
             raise ValueError(f"session {session.session_id} is closed")
         with self._lock:
@@ -293,7 +312,7 @@ class DetectionServer:
             enqueue_t=now,
             deadline_t=now + (deadline_s if deadline_s is not None
                               else self.config.deadline_s),
-            future=future,
+            future=future, admit_s=now - entered,
         )
         with self._cond:
             if self._closed or self._draining:
@@ -337,8 +356,9 @@ class DetectionServer:
 
     def probe(self) -> dict:
         """Live-telemetry probe (``LiveTelemetry.add_probe`` target):
-        flat scalars — ledger counters, rolling latency percentiles,
-        current queue depth, batch fill, and pool health."""
+        flat scalars — ledger counters, rolling latency and per-stage
+        (``stage.<name>_p50_ms``/``_p99_ms``) percentiles, current queue
+        depth, batch fill, and pool health."""
         out = self.stats.probe()
         out["queue_depth"] = self._store.in_use
         out["degraded"] = 1.0 if self.degraded else 0.0
@@ -423,20 +443,17 @@ class DetectionServer:
                 if delta > 0:
                     metrics.counter(f"serve.pool.{attr}").inc(delta)
                     self._mirrored[f"pool.{attr}"] = value
-            with self.stats._lock:
-                latencies = self.stats.latencies_s[self._mirrored_latencies:]
-                occupancy = self.stats.batch_occupancy[
-                    self._mirrored_occupancy:]
-                self._mirrored_latencies += len(latencies)
-                self._mirrored_occupancy += len(occupancy)
-            latency_hist = metrics.histogram("serve.latency_s")
-            for value in latencies:
-                latency_hist.observe(value)
-            occupancy_hist = metrics.histogram(
-                "serve.batch_occupancy",
-                buckets=(1, 2, 4, 8, 16, 32, float("inf")))
-            for value in occupancy:
-                occupancy_hist.observe(value)
+            for series, name, buckets in _MIRRORED_SERIES:
+                samples, seq, lost = self.stats.samples_since(
+                    series, self._mirrored.get(f"seq.{series}", 0))
+                self._mirrored[f"seq.{series}"] = seq
+                if lost:
+                    # Samples that left the ring before this mirror read
+                    # them: counted, so histogram count + this == total.
+                    metrics.counter("serve.mirror_dropped").inc(lost)
+                histogram = metrics.histogram(name, buckets=buckets)
+                for value in samples:
+                    histogram.observe(value)
 
     # -- scheduler thread ----------------------------------------------
     def _run(self) -> None:
@@ -467,17 +484,24 @@ class DetectionServer:
                 if self._abort:
                     return
                 now = time.monotonic()
+                busy = bool(self._inflight or self._backend.outstanding)
+                if busy:
+                    self._idle_since = None
+                elif self._idle_since is None:
+                    self._idle_since = now  # the last batch just completed
                 expired = self._pop_expired_locked(now)
                 cut = batch_cut(self._queue, now, self.config.max_batch,
                                 self.config.batch_window_s,
-                                draining=self._draining)
+                                draining=self._draining,
+                                idle_since=self._idle_since)
                 if cut:
                     batch = [self._queue.popleft() for _ in range(cut)]
-                elif not self._inflight and not self._backend.outstanding:
+                elif not busy:
                     if self._draining and not self._queue:
                         return
                     wake = next_wake(self._queue, now,
-                                     self.config.batch_window_s)
+                                     self.config.batch_window_s,
+                                     idle_since=self._idle_since)
                     self._cond.wait(timeout=wake if wake is not None else 0.1)
             for request in expired:
                 self._complete(request, RequestStatus.TIMEOUT)
@@ -503,6 +527,9 @@ class DetectionServer:
             for request in batch:
                 self._complete(request, RequestStatus.FAILED)
             return
+        dispatch_t = time.monotonic()
+        for request in batch:
+            request.dispatch_t = dispatch_t
         try:
             if self._tracer is not None:
                 with self._tracer.span("serve.dispatch", occupancy=len(batch),
@@ -559,18 +586,8 @@ class DetectionServer:
             if self._backend.name == "pool":
                 self._pool_ok_batches += 1
                 self._pool_failure_streak = 0
-            by_slot = {row[0]: row[1] for row in outcome.rows}
-            now = time.monotonic()
-            for request in batch:
-                encoded = by_slot.get(request.slot)
-                if encoded is None:
-                    self._complete(request, RequestStatus.FAILED)
-                elif now > request.deadline_t:
-                    self._complete(request, RequestStatus.TIMEOUT)
-                else:
-                    self._complete(request, RequestStatus.OK,
-                                   decode_detections(encoded),
-                                   degraded=self._backend.name == "inproc")
+            self._deliver(batch, outcome.rows,
+                          degraded=self._backend.name == "inproc")
             return
         # "error" / "failed": the batch is lost to the pool (retry-once
         # exhausted, or the task itself raised). Degrade to a serial
@@ -592,17 +609,24 @@ class DetectionServer:
                 for request in batch:
                     self._complete(request, RequestStatus.FAILED)
                 return
-            by_slot = {row[0]: row[1] for row in outcome.rows}
-            now = time.monotonic()
-            for request in batch:
-                encoded = by_slot.get(request.slot)
-                if encoded is None:
-                    self._complete(request, RequestStatus.FAILED)
-                elif now > request.deadline_t:
-                    self._complete(request, RequestStatus.TIMEOUT)
-                else:
-                    self._complete(request, RequestStatus.OK,
-                                   decode_detections(encoded), degraded=True)
+            self._deliver(batch, outcome.rows, degraded=True)
+
+    def _deliver(self, batch: List[PendingRequest], rows: List[tuple],
+                 degraded: bool) -> None:
+        """Answer a completed batch's requests from its result rows."""
+        receipt_t = time.monotonic()
+        by_slot = {slot: payload for slot, payload in rows}
+        for request in batch:
+            payload = by_slot.get(request.slot)
+            if payload is None:
+                self._complete(request, RequestStatus.FAILED)
+            elif receipt_t > request.deadline_t:
+                self._complete(request, RequestStatus.TIMEOUT)
+            else:
+                encoded, forward_s, postprocess_s = payload
+                self._complete(request, RequestStatus.OK,
+                               decode_detections(encoded), degraded=degraded,
+                               timing=(receipt_t, forward_s, postprocess_s))
 
     def _switch_degraded(self, reason: str) -> bool:
         """Replace the backend with serial in-process inference; resubmit
@@ -651,15 +675,32 @@ class DetectionServer:
 
     def _complete(self, request: PendingRequest, status: str,
                   detections: Optional[List] = None,
-                  degraded: bool = False) -> None:
+                  degraded: bool = False,
+                  timing: Optional[tuple] = None) -> None:
+        """Resolve ``request``'s future once. ``timing`` — ``(receipt_t,
+        forward_s, postprocess_s)`` of its batch — splits an ``ok``
+        latency into :data:`~repro.serve.scheduler.STAGES`."""
         if request.completed:
             return
         request.completed = True
-        latency = time.monotonic() - request.enqueue_t
         self._store.release(request.slot)
+        now = time.monotonic()
+        latency = now - request.enqueue_t
+        stages: Dict[str, float] = {}
+        if timing is not None:
+            receipt_t, forward_s, postprocess_s = timing
+            stages = {
+                "admit": request.admit_s,
+                "queue": request.dispatch_t - request.enqueue_t,
+                "pool": (receipt_t - request.dispatch_t
+                         - forward_s - postprocess_s),
+                "forward": forward_s,
+                "postprocess": postprocess_s,
+                "delivery": now - receipt_t,
+            }
         if status == RequestStatus.OK:
             self.stats.count("ok")
-            self.stats.observe_latency(latency)
+            self.stats.observe_latency(latency, stages)
         elif status == RequestStatus.TIMEOUT:
             self.stats.count("timeouts")
         elif status == RequestStatus.FAILED:
@@ -669,4 +710,4 @@ class DetectionServer:
         request.future.set_result(DetectionResponse(
             session_id=request.session_id, seq=request.seq, status=status,
             detections=detections or [], latency_s=latency,
-            degraded=degraded))
+            degraded=degraded, stages=stages))

@@ -13,19 +13,22 @@ Transport layout (all ``repro.parallel.shm`` machinery):
   with one slot per admitted request — the task queue only ever carries
   ``{"slots": [...]}`` descriptors, never pixels;
 * detections return through the result queue as plain tuples (they are a
-  few dozen floats — the one payload small enough to pickle).
+  few dozen floats — the one payload small enough to pickle), each row
+  with its batch's forward and postprocess seconds (:func:`detect_batch`).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..detection.config import TinyYoloConfig
-from ..detection.decode import Detection, batched_detections
+from ..detection.decode import Detection, detections_from_outputs
 from ..detection.model import TinyYolo
+from ..nn import Tensor, no_grad
 from ..nn.quant import resolve_inference_model
 from ..parallel import ArraySpec, SharedSlab, SlabHandle
 
@@ -33,6 +36,7 @@ __all__ = [
     "ServeWorkerPayload",
     "serve_worker_init",
     "serve_worker_infer",
+    "detect_batch",
     "detector_param_specs",
     "frame_spec",
     "encode_detections",
@@ -81,6 +85,28 @@ def decode_detections(encoded: Sequence[tuple]) -> List[Detection]:
         )
         for box, score, class_id, probs in encoded
     ]
+
+
+def detect_batch(model, frames: Sequence[np.ndarray], conf_threshold: float,
+                 iou_threshold: float, max_detections: int) -> List[tuple]:
+    """One batch forward, then decode + NMS + encode, each timed where it
+    runs — in the pool worker or in the in-process backend.
+
+    Returns one ``(encoded detections, forward_s, postprocess_s)`` row
+    payload per frame; every row carries its batch's two durations.
+    """
+    start = time.monotonic()
+    with no_grad():
+        outputs = model(Tensor(np.stack(frames)))
+    forward_end = time.monotonic()
+    encoded = [encode_detections(detections) for detections in
+               detections_from_outputs(outputs, model.config,
+                                       conf_threshold=conf_threshold,
+                                       iou_threshold=iou_threshold,
+                                       max_detections=max_detections)]
+    forward_s = forward_end - start
+    postprocess_s = time.monotonic() - forward_end
+    return [(row, forward_s, postprocess_s) for row in encoded]
 
 
 @dataclass(frozen=True)
@@ -140,7 +166,7 @@ def serve_worker_infer(ctx: _ServeContext, params: Dict[str, np.ndarray],
 
     Row shape follows the pool contract: ``(slot, grads, scalars)`` with
     an empty grads dict (the serve pool declares no gradient arrays) and
-    the encoded detections as the scalar payload.
+    :func:`detect_batch`'s row payload as the scalars.
     """
     if ctx.loaded_params is not params:
         ctx.model.load_state_dict(params)
@@ -157,17 +183,14 @@ def serve_worker_infer(ctx: _ServeContext, params: Dict[str, np.ndarray],
             ctx.infer_model = None
     sleep_s = float(task.get("sleep_s", 0.0))
     if sleep_s > 0.0:  # chaos hook: simulate a hung forward
-        import time
         time.sleep(sleep_s)
     slots = list(task["slots"])
     frames = [ctx.frames.slot_copy(FRAME_ARRAY, slot) for slot in slots]
-    per_frame = batched_detections(
+    rows = detect_batch(
         ctx.infer_model if ctx.infer_model is not None else ctx.model,
         frames,
         conf_threshold=ctx.payload.conf_threshold,
         iou_threshold=ctx.payload.iou_threshold,
         max_detections=ctx.payload.max_detections,
-        batch_size=max(1, len(frames)),
     )
-    return [(slot, {}, encode_detections(dets))
-            for slot, dets in zip(slots, per_frame)]
+    return [(slot, {}, row) for slot, row in zip(slots, rows)]

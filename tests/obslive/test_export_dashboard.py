@@ -7,6 +7,7 @@ https://www.speedscope.app accepts the output.
 
 import json
 import os
+import re
 
 import pytest
 
@@ -142,6 +143,23 @@ class TestDashboard:
         assert "<script src=" not in html  # no external JS
         assert 'href="http' not in html    # no external CSS
         assert "prefers-color-scheme" in html
+
+    def test_serving_card_shows_each_stage(self, tmp_path):
+        run_dir = self.make_run_dir(tmp_path)
+        stages = {"forward": {"p50": 2.25, "p99": 4.75},
+                  "queue": {"p50": 0.125, "p99": 3.5}}
+        with open(os.path.join(run_dir, "serve_stats.json"), "w") as handle:
+            json.dump({"schema_version": 1, "stats": {
+                "ok": 3, "latency_p50_ms": 5.0, "stages_ms": stages}}, handle,
+                sort_keys=True)
+        dash = gather_dashboard(run_dir)
+        text = render_tty(dash)
+        # Pipeline order, not the file's key order: queue before forward.
+        assert re.search(r"queue\s+0\.125\s+3\.500\n\s+forward\s+2\.250"
+                         r"\s+4\.750", text)
+        html = render_html(dash)
+        assert ('<td class="series-name">queue</td><td class="num">0.125'
+                '</td><td class="num">3.500</td>') in html
 
     def test_history_section_from_committed_file(self, tmp_path):
         repo_history = os.path.join(os.path.dirname(__file__), "..", "..",

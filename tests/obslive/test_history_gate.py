@@ -174,6 +174,46 @@ class TestBenchGates:
         assert train.check_history_trend(
             path, {"parallel_steps_per_sec": 1.0}) == 1
 
+    def test_window_only_batch_cut_fails_the_open_loop_gate(
+            self, monkeypatch):
+        """The same-run gate must fail once a lone frame waits out its
+        batch window again. An 8 ms window leaves the old rule over the
+        bound for any detect under 2.5 ms, and stays well under the
+        ~13 ms each frame finds the server idle, so the idle-window cut
+        still serves every frame at once."""
+        from repro.serve import DetectionServer, batch_cut, next_wake
+        from repro.serve import server as server_module
+
+        serve = load_script("bench_serve.py")
+        monkeypatch.setattr(serve, "OPEN_LOOP_SECONDS", 0.5)
+        args = serve.parse_args(["--workers", "0", "--batch-window-s",
+                                 "0.008", "--history", ""])
+        detector = serve.build_detector(args)
+        detect_ms = serve.detect_batch1_ms(args, detector)
+
+        def open_loop():
+            server = DetectionServer(detector, serve.serve_config(args))
+            try:
+                return serve.run_open_loop(args, server, detect_ms)
+            finally:
+                server.close()
+
+        idle_cut = open_loop()
+        # Put back the window-only rule: no idle-window cut or wake.
+        monkeypatch.setattr(
+            server_module, "batch_cut",
+            lambda queue, now, max_batch, window, draining=False,
+            idle_since=None: batch_cut(queue, now, max_batch, window,
+                                       draining))
+        monkeypatch.setattr(
+            server_module, "next_wake",
+            lambda queue, now, window, idle_since=None: next_wake(
+                queue, now, window))
+        window_only = open_loop()
+        assert serve.check_open_loop(window_only) == 1
+        # Same host, same detect base: only the policy moved the ratio.
+        assert idle_cut["p50_over_detect"] < window_only["p50_over_detect"]
+
     def test_missing_history_file_passes(self, tmp_path):
         hot = load_script("bench_hotpath.py")
         missing = os.path.join(tmp_path, "nope.jsonl")

@@ -116,8 +116,29 @@ class TestPeriodicMirror:
         counters = run.metrics.snapshot()["counters"]
         assert counters["serve.ok"] == float(n)
         assert counters["serve.accepted"] == float(n)
-        hist = run.metrics.snapshot()["histograms"]["serve.latency_s"]
-        assert hist["count"] == n
+        histograms = run.metrics.snapshot()["histograms"]
+        assert histograms["serve.latency_s"]["count"] == n
+        assert histograms["serve.stage.forward_s"]["count"] == n
+
+    def test_samples_past_the_ring_are_counted_not_lost(self, detector,
+                                                        tmp_path):
+        from repro.serve.scheduler import SAMPLE_RING
+        run = Run(str(tmp_path / "run"))
+        server = DetectionServer(detector, inproc_config(), obs=run)
+        try:
+            server.mirror_stats()
+            n = SAMPLE_RING + 100  # more than the ring holds between mirrors
+            for _ in range(n):
+                server.stats.observe_latency(0.001, {"queue": 0.0005})
+            server.mirror_stats()
+        finally:
+            server.close()
+        snap = run.metrics.snapshot()
+        histograms = snap["histograms"]
+        assert histograms["serve.latency_s"]["count"] == SAMPLE_RING
+        assert histograms["serve.stage.queue_s"]["count"] == SAMPLE_RING
+        # 100 latencies + 100 queue-stage samples left the ring unread.
+        assert snap["counters"]["serve.mirror_dropped"] == 200.0
 
     def test_probe_surface(self, detector):
         server = DetectionServer(detector, inproc_config())
@@ -132,6 +153,8 @@ class TestPeriodicMirror:
         assert probe["ok"] == 4
         assert probe["queue_depth"] >= 0
         assert "latency_p50_ms" in probe and "latency_p99_ms" in probe
+        assert "stage.queue_p50_ms" in probe
+        assert "stage.forward_p99_ms" in probe
         assert 0.0 <= probe["batch_fill"] <= 1.0
         assert probe["pool.respawns"] == 0
         assert probe["degraded"] == 1.0  # workers=0 is chosen-degraded

@@ -3,6 +3,7 @@ the bounded frame store, the stats ledger, and the detection wire format.
 """
 
 import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from repro.detection.decode import Detection
 from repro.serve import FrameStore, PendingRequest, ServeStats, batch_cut, next_wake
+from repro.serve.scheduler import SAMPLE_RING
 from repro.serve.workers import decode_detections, encode_detections
 
 pytestmark = pytest.mark.serve
@@ -44,6 +46,32 @@ class TestBatchCut:
         assert batch_cut(queue, now=5.0, max_batch=4, batch_window_s=10.0,
                          draining=True) == 1
 
+    def test_lone_request_on_idle_backend_cuts_at_once(self):
+        # Idle for a whole window: no co-batcher is coming, so waiting
+        # out the request's own window would only add latency.
+        queue = [make_request(enqueue_t=5.0)]
+        assert batch_cut(queue, now=5.0, max_batch=4, batch_window_s=0.01,
+                         idle_since=4.0) == 1
+
+    def test_request_within_a_window_of_completion_waits(self):
+        # A batch completed at 5.0: its clients may resubmit, so a lone
+        # request arriving soon after waits until the backend has been
+        # idle for a full window (before its own window runs out).
+        queue = [make_request(enqueue_t=5.002)]
+        assert batch_cut(queue, now=5.004, max_batch=4, batch_window_s=0.01,
+                         idle_since=5.0) == 0
+        assert batch_cut(queue, now=5.0101, max_batch=4,
+                         batch_window_s=0.01, idle_since=5.0) == 1
+
+    def test_in_flight_batch_keeps_the_window_rule(self):
+        # idle_since=None: a batch is in flight, however long ago the
+        # backend was last idle.
+        queue = [make_request(enqueue_t=5.0)]
+        assert batch_cut(queue, now=5.005, max_batch=4, batch_window_s=0.01,
+                         idle_since=None) == 0
+        assert batch_cut(queue, now=5.011, max_batch=4, batch_window_s=0.01,
+                         idle_since=None) == 1
+
 
 class TestNextWake:
     def test_empty_queue_sleeps_indefinitely(self):
@@ -62,6 +90,19 @@ class TestNextWake:
     def test_overdue_clamps_to_zero(self):
         queue = [make_request(enqueue_t=0.0, deadline_t=1.0)]
         assert next_wake(queue, now=50.0, batch_window_s=0.01) == 0.0
+
+    @pytest.mark.parametrize("idle_since, deadline_t, expected", [
+        (4.998, 100.0, 0.006),  # idle-window expiry first
+        (5.001, 100.0, 0.008),  # request's window expiry first
+        (4.998, 5.003, 0.001),  # deadline first
+        (None, 100.0, 0.008),   # in flight: no idle-window candidate
+    ])
+    def test_earliest_of_window_idle_window_and_deadline(
+            self, idle_since, deadline_t, expected):
+        queue = [make_request(enqueue_t=5.0, deadline_t=deadline_t)]
+        wake = next_wake(queue, now=5.002, batch_window_s=0.01,
+                         idle_since=idle_since)
+        assert wake == pytest.approx(expected)
 
 
 class TestFrameStore:
@@ -117,6 +158,52 @@ class TestServeStats:
         assert snap["mean_batch_occupancy"] == pytest.approx(3.0)
         assert snap["latency_p50_ms"] == pytest.approx(20.0)
         assert snap["latency_p99_ms"] == pytest.approx(30.0, abs=0.5)
+
+    def test_stage_percentiles_in_snapshot_and_probe(self):
+        stats = ServeStats()
+        for queue_s in (0.001, 0.002, 0.003):
+            stats.observe_latency(0.01, {"queue": queue_s, "forward": 0.004})
+        snap = stats.snapshot()
+        assert snap["stages_ms"]["queue"]["p50"] == pytest.approx(2.0)
+        assert snap["stages_ms"]["forward"]["p99"] == pytest.approx(4.0)
+        assert "pool" not in snap["stages_ms"]  # never observed
+        probe = stats.probe()
+        assert probe["stage.queue_p50_ms"] == pytest.approx(2.0)
+        assert probe["stage.forward_p99_ms"] == pytest.approx(4.0)
+
+    def test_ledger_stays_bounded_over_a_long_life(self):
+        # Two million answers is about an hour at 500 frames/s.
+        stats = ServeStats()
+        for index in range(2_000_000):
+            stats.observe_latency(1e-3 * (index % 17))
+        for index in range(250_000):
+            stats.observe_batch(1 + index % 8)
+        samples, seq, lost = stats.samples_since("latency", 0)
+        assert len(samples) == SAMPLE_RING
+        assert seq == 2_000_000 and lost == 2_000_000 - SAMPLE_RING
+        assert len(stats.samples_since("occupancy", 0)[0]) == SAMPLE_RING
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            snap = stats.snapshot()
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.010
+        # The occupancy mean is the lifetime one, not the ring's.
+        assert snap["batches"] == 250_000
+        assert snap["mean_batch_occupancy"] == pytest.approx(4.5)
+
+    def test_samples_since_counts_what_left_the_ring(self):
+        stats = ServeStats()
+        for _ in range(10):
+            stats.observe_latency(0.001)
+        samples, seq, lost = stats.samples_since("latency", 0)
+        assert (len(samples), seq, lost) == (10, 10, 0)
+        for value in range(SAMPLE_RING + 5):
+            stats.observe_latency(float(value))
+        samples, seq, lost = stats.samples_since("latency", seq)
+        assert len(samples) == SAMPLE_RING and lost == 5
+        assert samples[0] == 5.0  # oldest retained first
+        assert stats.samples_since("latency", seq) == ([], seq, 0)
 
     def test_concurrent_counting_is_exact(self):
         stats = ServeStats()

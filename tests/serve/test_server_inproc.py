@@ -6,6 +6,8 @@ inference, and the asyncio facade — fast enough to run everywhere.
 """
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,10 +16,12 @@ from repro.detection.decode import batched_detections
 from repro.serve import (
     AdmissionError,
     DetectionServer,
+    InprocBackend,
     RequestStatus,
     ServeConfig,
     ServerClosed,
 )
+from repro.serve import server as server_module
 
 pytestmark = pytest.mark.serve
 
@@ -27,6 +31,34 @@ def inproc_config(**overrides):
                     queue_capacity=16, max_sessions=4, deadline_s=30.0)
     defaults.update(overrides)
     return ServeConfig(**defaults)
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.001)
+
+
+@pytest.fixture
+def held(monkeypatch):
+    """Serve through an in-process backend that finishes no batch until
+    the test sets the returned event: a busy backend, so requests
+    submitted after the first dispatch wait in the queue. Also returns
+    the frame count of each batch the backend ran."""
+    gate = threading.Event()
+    ran = []
+
+    class HeldBackend(InprocBackend):
+        def poll(self, timeout=0.0):
+            if not gate.wait(timeout):
+                return []
+            ran.extend(len(task["slots"]) for _, task in self._pending)
+            return super().poll(timeout)
+
+    monkeypatch.setattr(server_module, "InprocBackend", HeldBackend)
+    yield gate, ran
+    gate.set()
 
 
 def test_parity_and_ordering_with_direct_inference(detector, make_frames):
@@ -79,20 +111,23 @@ def test_lowered_backend_matches_reference_detections(detector, make_frames):
             assert got.score == pytest.approx(ref.score, abs=1e-3)
 
 
-def test_burst_past_capacity_sheds_instead_of_queueing(detector, make_frames):
-    # Window far longer than the burst: the queue cannot drain mid-burst,
-    # so requests past the slot capacity must be rejected immediately.
-    config = inproc_config(queue_capacity=2, max_batch=8, batch_window_s=0.5)
+def test_burst_past_capacity_sheds_instead_of_queueing(detector, make_frames,
+                                                      held):
+    # The held backend frees no slot mid-burst, so requests past the
+    # slot capacity must be rejected immediately.
+    gate, _ = held
+    config = inproc_config(queue_capacity=2, max_batch=8)
     server = DetectionServer(detector, config)
     try:
         session = server.open_session("bursty")
         futures = [server.submit(session, frame)
                    for frame in make_frames(5, seed=2)]
-        # Shed responses resolve instantly, before the batch window.
+        # Shed responses resolve instantly, before any batch finishes.
         shed_now = [f for f in futures if f.done()
                     and f.result().status == RequestStatus.SHED]
         assert len(shed_now) == 3
         assert all(not f.result().detections for f in shed_now)
+        gate.set()
         responses = [future.result(timeout=30) for future in futures]
     finally:
         server.close()
@@ -104,20 +139,44 @@ def test_burst_past_capacity_sheds_instead_of_queueing(detector, make_frames):
     assert snap["max_queue_depth"] <= config.queue_capacity
 
 
-def test_deadline_expires_queued_request(detector, make_frames):
-    # Deadline shorter than the batch window: the request times out in
-    # the queue before any batch is cut.
-    config = inproc_config(deadline_s=0.02, batch_window_s=5.0, max_batch=8)
+def test_deadline_expires_queued_request(detector, make_frames, held):
+    # The first request holds the backend; the second waits in the queue
+    # behind it (window far longer than its deadline) and times out
+    # there, without a forward pass.
+    gate, ran = held
+    config = inproc_config(batch_window_s=5.0, max_batch=8)
     server = DetectionServer(detector, config)
+    first_frame, late_frame = make_frames(2)
     try:
         session = server.open_session("slowpoke")
-        future = server.submit(session, make_frames(1)[0])
-        response = future.result(timeout=10)
+        first = server.submit(session, first_frame)
+        wait_for(lambda: server.snapshot()["batches"] == 1)
+        late = server.submit(session, late_frame, deadline_s=0.02)
+        response = late.result(timeout=10)
         assert response.status == RequestStatus.TIMEOUT
         assert not response.detections
+        assert not first.done()
+        gate.set()
+        assert first.result(timeout=10).status == RequestStatus.OK
     finally:
         server.close()
     assert server.snapshot()["timeouts"] == 1
+    assert ran == [1]  # the first request's forward pass only
+
+
+def test_idle_server_answers_a_lone_request_at_once(detector, make_frames):
+    # No batch in flight and none completed within the window: no
+    # co-batcher can be on its way, so the 5 s window is not waited out.
+    server = DetectionServer(detector, inproc_config(batch_window_s=5.0))
+    try:
+        session = server.open_session("lone")
+        start = time.monotonic()
+        response = server.submit(session, make_frames(1)[0]).result(timeout=10)
+        elapsed = time.monotonic() - start
+    finally:
+        server.close()
+    assert response.status == RequestStatus.OK
+    assert elapsed < 1.0
 
 
 def test_admission_control_caps_sessions(detector):
@@ -142,25 +201,40 @@ def test_submit_after_close_raises(detector, make_frames):
         server.submit(session, make_frames(1)[0])
 
 
-def test_close_without_drain_cancels_queued_requests(detector, make_frames):
+def submit_behind_held_batch(server, session, frames):
+    """Submit ``frames[0]``, wait until it is dispatched to the held
+    backend, then queue the rest behind it."""
+    futures = [server.submit(session, frames[0])]
+    wait_for(lambda: server.snapshot()["batches"] == 1)
+    return futures + [server.submit(session, frame) for frame in frames[1:]]
+
+
+def test_close_without_drain_cancels_queued_requests(detector, make_frames,
+                                                     held):
     config = inproc_config(batch_window_s=10.0, max_batch=8)
     server = DetectionServer(detector, config)
     session = server.open_session("doomed")
-    futures = [server.submit(session, frame) for frame in make_frames(3)]
+    futures = submit_behind_held_batch(server, session, make_frames(3))
     server.close(drain=False)
-    statuses = {future.result(timeout=5).status for future in futures}
-    assert statuses <= {RequestStatus.CANCELLED, RequestStatus.OK}
-    assert RequestStatus.CANCELLED in statuses
+    statuses = [future.result(timeout=5).status for future in futures]
+    # In flight and queued alike: nothing completed before the close.
+    assert statuses == [RequestStatus.CANCELLED] * 3
 
 
-def test_drain_close_completes_queued_requests(detector, make_frames):
+def test_drain_close_completes_queued_requests(detector, make_frames, held):
+    gate, ran = held
     config = inproc_config(batch_window_s=10.0, max_batch=8)
     server = DetectionServer(detector, config)
     session = server.open_session("drained")
-    futures = [server.submit(session, frame) for frame in make_frames(3)]
+    futures = submit_behind_held_batch(server, session, make_frames(3))
+    # The held batch finishes only after close() has begun draining.
+    release = threading.Timer(0.1, gate.set)
+    release.start()
     server.close(drain=True)
+    release.join(timeout=5)
     responses = [future.result(timeout=5) for future in futures]
     assert all(resp.status == RequestStatus.OK for resp in responses)
+    assert ran == [1, 2]  # the queued pair was flushed as one batch
 
 
 def test_asyncio_facade(detector, make_frames):
@@ -178,6 +252,27 @@ def test_asyncio_facade(detector, make_frames):
         server.close()
     assert [resp.seq for resp in responses] == list(range(6))
     assert all(resp.status == RequestStatus.OK for resp in responses)
+
+
+def test_ok_stages_are_non_negative_and_sum_to_latency(detector,
+                                                      make_frames):
+    server = DetectionServer(detector, inproc_config())
+    try:
+        session = server.open_session("split")
+        responses = [future.result(timeout=30) for future in
+                     [server.submit(session, frame)
+                      for frame in make_frames(10, seed=4)]]
+        stages_ms = server.snapshot()["stages_ms"]
+    finally:
+        server.close()
+    for resp in responses:
+        assert resp.status == RequestStatus.OK
+        assert set(resp.stages) == set(server_module.STAGES)
+        assert min(resp.stages.values()) >= 0.0
+        in_latency = sum(value for name, value in resp.stages.items()
+                         if name != "admit")
+        assert in_latency == pytest.approx(resp.latency_s, abs=1e-6)
+    assert set(stages_ms) == set(server_module.STAGES)
 
 
 def test_snapshot_reports_inproc_mode(detector, make_frames):

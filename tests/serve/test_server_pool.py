@@ -54,6 +54,28 @@ def test_pool_parity_and_exactly_once(detector, make_frames):
             np.testing.assert_allclose(got.box_xyxy, ref.box_xyxy, atol=1e-4)
 
 
+def test_pool_ok_stages_are_non_negative_and_sum_to_latency(detector,
+                                                           make_frames):
+    """The worker times forward and postprocess; the parent times the
+    rest. Together they must account for each latency exactly."""
+    server = DetectionServer(detector, pool_config(workers=1))
+    try:
+        session = server.open_session("split")
+        responses = [future.result(timeout=120) for future in
+                     [server.submit(session, frame)
+                      for frame in make_frames(12, seed=8)]]
+    finally:
+        server.close()
+    assert server.snapshot()["mode"] == "pool"
+    for resp in responses:
+        assert resp.status == RequestStatus.OK
+        assert min(resp.stages.values()) >= 0.0
+        assert resp.stages["forward"] > 0.0
+        in_latency = sum(value for name, value in resp.stages.items()
+                         if name != "admit")
+        assert in_latency == pytest.approx(resp.latency_s, abs=1e-6)
+
+
 def test_chaos_sigkill_mid_stream_loses_nothing(detector, make_frames):
     """Kill a live worker mid-stream: every admitted request still
     resolves exactly once, and the pool respawns the dead slot."""
