@@ -4,7 +4,9 @@ A DCGAN-style generator producing one-channel (monochrome) k×k patches in
 [0, 1]: dense projection to a coarse feature map, two nearest-neighbour
 upsample + conv stages, then a 1×1 conv and sigmoid. A final bilinear
 resize hits patch sizes that are not multiples of 4 (the paper sweeps
-k ∈ {20, 40, 60, 80}).
+k ∈ {20, 40, 60, 80}). Each upsample + conv runs as one
+:func:`~repro.nn.functional.upsample_conv2d` on the coarse map, with
+batch norm and leaky ReLU on the upsampled output as before.
 
 Monochrome output is a paper design decision, not a shortcut: single-color
 decals survive printing (§II-B) and look like ordinary road paint.
@@ -65,8 +67,8 @@ class PatchGenerator(nn.Module):
             raise ValueError(f"latent dim {z.shape[-1]} != {self.latent_dim}")
         x = self.project(z)
         x = x.reshape((z.shape[0], self.base_channels, self.coarse, self.coarse))
-        x = self.block1(F.upsample_nearest(x, 2))
-        x = self.block2(F.upsample_nearest(x, 2))
+        for block in (self.block1, self.block2):
+            x = block.act(block.bn(F.upsample_conv2d(x, block.conv.weight)))
         x = F.sigmoid(self.to_image(x))
         current = x.shape[-1]
         if current != self.patch_size:

@@ -49,6 +49,7 @@ __all__ = [
     "max_pool2d",
     "avg_pool2d",
     "upsample_nearest",
+    "upsample_conv2d",
     "interpolate_bilinear",
     "grid_sample",
     "linear",
@@ -561,7 +562,9 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None) -> Tens
 
 
 def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
-    """Nearest-neighbour upsampling (YOLO route path, GAN generator)."""
+    """Nearest-neighbour upsampling (the YOLO route path). The GAN
+    generator's upsample + conv blocks use :func:`upsample_conv2d`,
+    which never builds the upsampled map."""
     x = ensure_tensor(x)
     out = _make(
         x.data.repeat(scale, axis=2).repeat(scale, axis=3), (x,)
@@ -575,6 +578,53 @@ def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
 
     _define_backward(out, backward)
     return out
+
+
+def _subpixel_taps() -> np.ndarray:
+    """The ``(4, 9, 9)`` 0/1 map from a 3×3 kernel to its four phase
+    kernels: entry ``[(a, b), (ky, kx), (dy, dx)]`` is 1 when, in output
+    phase (a, b), tap (ky, kx) reads coarse offset (dy − 1, dx − 1).
+
+    Fine output row ``2i + a`` reads upsampled rows ``2i + a + ky − 1``,
+    i.e. coarse rows ``i + (a + ky − 1) // 2``, so tap ky lands on
+    ``dy = (a + ky + 1) // 2``: phase 0 gets rows (w₀, w₁+w₂, 0) and
+    phase 1 rows (0, w₀+w₁, w₂). Columns follow the same rule.
+    """
+    taps = np.zeros((2, 3, 3), np.float32)  # (a, ky, dy)
+    for a in range(2):
+        for ky in range(3):
+            taps[a, ky, (a + ky + 1) // 2] = 1.0
+    return (taps[:, None, :, None, :, None]
+            * taps[None, :, None, :, None, :]).reshape(4, 9, 9)
+
+
+_SUBPIXEL_TAPS = _subpixel_taps()
+
+
+def upsample_conv2d(x: Tensor, weight: Tensor) -> Tensor:
+    """``conv2d(upsample_nearest(x, 2), weight, padding=1)`` for a 3×3
+    ``weight``, computed on the coarse map.
+
+    Each of the four output phases (row parity a, column parity b) is a
+    pad-1 3×3 conv of ``x`` itself with a kernel whose taps are sums of
+    ``weight`` taps (:func:`_subpixel_taps`); one :func:`conv2d` with the
+    4·O phase kernels computes all four, and a pixel shuffle interleaves
+    them. Exact up to float32 rounding of the summed taps. The GEMMs do
+    the same multiply-adds as the upsampled conv's, but the column gather
+    and its backward scatter cover a quarter of the pixels, and no
+    upsampled map is built. Built from autodiff ops, so the backward
+    comes for free.
+    """
+    x, weight = ensure_tensor(x), ensure_tensor(weight)
+    out_c, in_c, kh, kw = weight.shape
+    if (kh, kw) != (3, 3):
+        raise ValueError(f"upsample_conv2d needs a 3×3 kernel, got {weight.shape}")
+    n, _, h, w = x.shape
+    # (O, 1, C, 9) @ (4, 9, 9) -> (O, 4, C, 9): output channel o·4 + 2a + b.
+    phases = weight.reshape(out_c, 1, in_c, 9) @ _SUBPIXEL_TAPS
+    y = conv2d(x, phases.reshape(4 * out_c, in_c, 3, 3), padding=1)
+    return y.reshape(n, out_c, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(
+        n, out_c, 2 * h, 2 * w)
 
 
 def interpolate_bilinear(x: Tensor, size: Tuple[int, int]) -> Tensor:

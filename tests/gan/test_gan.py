@@ -12,6 +12,16 @@ from repro.gan import (
     train_gan,
 )
 from repro.nn import Tensor
+from repro.nn.serialization import state_digest
+
+#: ``named_parameters()`` order. It fixes the seeded init draws and the
+#: ``gen.`` keys of every GAN and attack checkpoint, so it must never change.
+GENERATOR_PARAMETER_ORDER = (
+    "project.weight", "project.bias",
+    "block1.conv.weight", "block1.bn.gamma", "block1.bn.beta",
+    "block2.conv.weight", "block2.bn.gamma", "block2.bn.beta",
+    "to_image.weight", "to_image.bias",
+)
 
 
 class TestGenerator:
@@ -42,6 +52,15 @@ class TestGenerator:
         z = gen.sample_latent(2, rng)
         out = gen(Tensor(z)).data
         assert not np.allclose(out[0], out[1])
+
+    @pytest.mark.parametrize("k, seed, digest", [
+        (60, 0, "cf45fc5aa1c01e4cc3941322cf620666625dba83bfb1a42d87e1b7a777e9e1d6"),
+        (20, 7, "72e29ae2a53740e2e3cf425b3f0f8f72ae424ee1f7093734debaff6a8208294d"),
+    ])
+    def test_seeded_construction_is_pinned(self, k, seed, digest):
+        gen = PatchGenerator(k, seed=seed)
+        assert tuple(name for name, _ in gen.named_parameters()) == GENERATOR_PARAMETER_ORDER
+        assert state_digest(gen.state_dict()) == digest
 
     def test_gradients_reach_all_parameters(self, rng):
         gen = PatchGenerator(patch_size=16, latent_dim=8)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.gan import PatchGenerator
 from repro.nn import Tensor
 from repro.nn import functional as F
 from repro.nn.functional import ConvWorkspace
@@ -273,3 +274,100 @@ class TestConvDifferential:
         x, w, b = rand((2, 120, 5, 5), 0), rand((3, 120, 3, 3), 1), rand((3,), 2)
         assert 120 * 9 > K_CHUNK
         self.assert_int8_matches_mac_oracle(x, w, b, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# Differential sub-pixel fold: upsample_conv2d against upsample + conv
+# ----------------------------------------------------------------------
+
+@st.composite
+def upsample_conv_cases(draw):
+    n = draw(st.integers(1, 3))
+    c, o = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return n, c, o, h, w, draw(st.integers(0, 10_000))
+
+
+def upsample2(a):
+    return a.repeat(2, axis=2).repeat(2, axis=3)
+
+
+def reference_patch(gen, z):
+    """``PatchGenerator.forward`` with each block run on the upsampled map."""
+    x = gen.project(z).reshape((z.shape[0], gen.base_channels, gen.coarse,
+                                gen.coarse))
+    for block in (gen.block1, gen.block2):
+        x = block(F.upsample_nearest(x, 2))
+    x = F.sigmoid(gen.to_image(x))
+    if x.shape[-1] != gen.patch_size:
+        x = F.interpolate_bilinear(x, (gen.patch_size, gen.patch_size))
+    return x
+
+
+class TestUpsampleConvDifferential:
+    """:func:`F.upsample_conv2d` against a conv of the upsampled input."""
+
+    #: Added to each checked quantity's conv reduction depth: the fold
+    #: into phase kernels and its transpose in the backward are 0/1
+    #: contractions of at most 4·9 = 36 terms.
+    FOLD_DEPTH = 36
+
+    @given(case=upsample_conv_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_fold_and_gradients_match_direct_conv_of_upsampled_input(self, case):
+        n, c, o, h, w, seed = case
+        x, weight = rand((n, c, h, w), seed), rand((o, c, 3, 3), seed + 1)
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(weight, requires_grad=True)
+        out = F.upsample_conv2d(xt, wt)
+        assert out.shape == (n, o, 2 * h, 2 * w)
+        upstream = rand(out.shape, seed + 2)
+        out.backward(upstream)
+
+        x64, w64, g64 = (a.astype(np.float64) for a in (x, weight, upstream))
+        exact, grad_up, grad_w = direct_conv(upsample2(x64), w64, 1, 1, g64)
+        out_mag, grad_up_mag, grad_w_mag = direct_conv(
+            upsample2(np.abs(x64)), np.abs(w64), 1, 1, np.abs(g64))
+
+        def down(a):  # upsample_nearest's adjoint
+            return a.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+
+        assert_within_depth_bound(out.data, exact, out_mag,
+                                  9 * c + self.FOLD_DEPTH)
+        # The phase conv has 4·O output channels.
+        assert_within_depth_bound(xt.grad, down(grad_up), down(grad_up_mag),
+                                  36 * o + self.FOLD_DEPTH)
+        assert_within_depth_bound(wt.grad, grad_w, grad_w_mag,
+                                  n * h * w + self.FOLD_DEPTH)
+
+    def test_rejects_kernels_other_than_3x3(self):
+        with pytest.raises(ValueError, match="3×3"):
+            F.upsample_conv2d(Tensor(rand((1, 2, 4, 4), 0)),
+                              Tensor(rand((3, 2, 1, 1), 1)))
+
+    @pytest.mark.parametrize("k", [20, 40, 60, 80])
+    @pytest.mark.parametrize("batch", [1, 13])
+    def test_generator_matches_upsample_then_conv(self, k, batch, monkeypatch):
+        gen = PatchGenerator(k, seed=k)
+        z = Tensor(gen.sample_latent(batch, np.random.default_rng(batch)))
+        upstream = rand((batch, 1, k, k), k + batch)
+
+        def run(forward):
+            gen.zero_grad()
+            patch = forward(z)
+            patch.backward(upstream)
+            return patch.data, {name: p.grad.copy()
+                                for name, p in gen.named_parameters()}
+
+        with monkeypatch.context() as patched:
+            # The generator must not build the upsampled map anywhere.
+            patched.setattr(F, "upsample_nearest", None)
+            patch, grads = run(gen)
+        ref_patch, ref_grads = run(lambda latent: reference_patch(gen, latent))
+
+        np.testing.assert_allclose(patch, ref_patch, rtol=0, atol=1e-5)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            scale = np.abs(ref_grads[name]).max()
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=0,
+                                       atol=1e-4 * scale, err_msg=name)
