@@ -11,9 +11,12 @@ becomes a single GEMM against it, and the backward pass is two GEMMs plus
 the corresponding :func:`col2im` scatter. The autodiff :func:`conv2d` and
 the lowered and int8 plan executors (:mod:`repro.nn.lowering`,
 :mod:`repro.nn.quant`) all run this one kernel, gathering into the
-workspace's shared column scratch. This keeps the whole stack pure numpy
-while remaining fast enough for the reduced-scale profiles used by the
-tests and benchmarks (see DESIGN.md §5).
+workspace's shared column scratch. They share the max-pool
+(:func:`pool_maxima`) and leaky-ReLU (:func:`leaky_max`) kernels too. A
+forward computes only its values; each backward derives what it needs
+from the saved input. This keeps the whole stack pure numpy while
+remaining fast enough for the reduced-scale profiles used by the tests
+and benchmarks (see DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "im2col",
     "col2im",
     "conv2d",
+    "pool_maxima",
     "max_pool2d",
     "avg_pool2d",
     "upsample_nearest",
@@ -54,6 +58,7 @@ __all__ = [
     "grid_sample",
     "linear",
     "relu",
+    "leaky_max",
     "leaky_relu",
     "sigmoid",
     "tanh",
@@ -469,13 +474,43 @@ def conv2d(
     return out
 
 
+def _window(x: np.ndarray, i: int, j: int, stride: int, out_h: int,
+            out_w: int) -> np.ndarray:
+    """Strided view of the element at offset (i, j) of every pool window."""
+    return x[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
+
+
+def pool_maxima(x: np.ndarray, kernel: int, stride: int,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Max over every ``kernel``×``kernel`` window of a padded NCHW array:
+    k² strided-slice ``maximum`` passes into ``out`` (fresh when ``None``),
+    the kernel of the autodiff :func:`max_pool2d` and of the compiled
+    plans' pool. The running max is the *second* operand, which
+    ``np.maximum`` returns on a tie, so the first window position wins as
+    in ``argmax`` (the sign of a ±0 max). NaN propagates.
+    """
+    n, c, h, w = x.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    if out is None:
+        out = np.empty((n, c, out_h, out_w), x.dtype)
+    np.copyto(out, _window(x, 0, 0, stride, out_h, out_w))
+    for i in range(kernel):
+        for j in range(kernel):
+            if i or j:
+                np.maximum(_window(x, i, j, stride, out_h, out_w), out,
+                           out=out)
+    return out
+
+
 def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None, padding: int = 0) -> Tensor:
     """Max pooling. YOLOv3-tiny uses both stride-2 pools and a final
-    stride-1 kernel-2 pool (which needs asymmetric right/bottom padding)."""
+    stride-1 kernel-2 pool (which needs asymmetric right/bottom padding).
+    The backward sends each output's gradient to the first window position
+    whose input equals the max (or is NaN), found again from the input."""
     x = ensure_tensor(x)
     stride = stride or kernel
-    data = x.data
-    n, c, h, w = data.shape
+    h, w = x.data.shape[2], x.data.shape[3]
     pad_spec = None
     if stride == 1 and kernel == 2 and padding == 0:
         # Darknet-style "same" pooling: pad one pixel on the bottom/right
@@ -492,28 +527,14 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None, padding
             f"padding >= (kernel-1)/2 keeps the spatial size")
     elif padding:
         pad_spec = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    if pad_spec is not None:
-        data = np.pad(data, pad_spec, constant_values=-np.inf)
-    ph, pw = data.shape[2], data.shape[3]
-    out_h = (ph - kernel) // stride + 1
-    out_w = (pw - kernel) // stride + 1
-    strides = data.strides
-    windows = np.lib.stride_tricks.as_strided(
-        data,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, out_h, out_w, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    value = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+
+    def padded() -> np.ndarray:
+        if pad_spec is None:
+            return x.data
+        return np.pad(x.data, pad_spec, constant_values=-np.inf)
+
+    value = pool_maxima(padded(), kernel, stride)
+    out_h, out_w = value.shape[2], value.shape[3]
     out = _make(value, (x,))
     if out.data.dtype != value.dtype:
         # _make normalizes float arrays to float32; pooling is a pure
@@ -521,20 +542,26 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None, padding
         out.data = value
 
     def backward(grad, staged):
+        data = padded()
         grad = np.asarray(grad, dtype=np.float32)
-        grad_padded = np.zeros((n, c, ph, pw), dtype=np.float32)
-        ky, kx = np.divmod(arg, kernel)
-        oy = np.arange(out_h)[None, None, :, None] * stride
-        ox = np.arange(out_w)[None, None, None, :] * stride
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(grad_padded, (ni, ci, oy + ky, ox + kx), grad)
+        # The first window position (row-major) equal to the max, with a
+        # NaN counting as equal: the position argmax would pick.
+        windows = range(kernel * kernel)
+        first = np.full(value.shape, kernel * kernel, np.intp)
+        for index in reversed(windows):
+            view = _window(data, *divmod(index, kernel), stride, out_h, out_w)
+            np.copyto(first, index, where=(view == value) | np.isnan(view))
+        # Reversed offsets add each input's contributions in increasing
+        # output order, so overlapping (stride-1) windows sum in the same
+        # order as a scatter-add over the outputs.
+        grad_padded = np.zeros(data.shape, dtype=np.float32)
+        for index in reversed(windows):
+            view = _window(grad_padded, *divmod(index, kernel), stride,
+                           out_h, out_w)
+            view += np.where(first == index, grad, 0.0)
         if pad_spec is not None:
-            top, bottom = pad_spec[2]
-            left, right = pad_spec[3]
-            grad_padded = grad_padded[
-                :, :, top: ph - bottom or None, left: pw - right or None
-            ]
+            top, left = pad_spec[2][0], pad_spec[3][0]
+            grad_padded = grad_padded[:, :, top:top + h, left:left + w]
         _route(x, grad_padded, staged)
 
     _define_backward(out, backward)
@@ -785,15 +812,32 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
+def leaky_max(y: np.ndarray, slope: float, out: Optional[np.ndarray] = None,
+              scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Leaky ReLU as ``max(y, slope·y)`` into ``out`` (``slope·y`` goes to
+    ``scratch``; both default to one fresh array), the kernel of the
+    autodiff :func:`leaky_relu` and of the compiled plans' conv epilogue.
+
+    Bit-equal to ``where(y > 0, y, slope·y)`` only for 0 < slope ≤ 1 (at
+    slope 0, ``0·inf`` is NaN), so other slopes raise ``ValueError``.
+    ``slope`` multiplies as given: a Python float keeps float64 products
+    float64.
+    """
+    if not 0.0 < slope <= 1.0:
+        raise ValueError(f"leaky_max needs 0 < slope <= 1, got {slope}")
+    scaled = np.multiply(y, slope, out=scratch)
+    return np.maximum(y, scaled, out=scaled if out is None else out)
+
+
 def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    """Leaky ReLU with darknet's default slope of 0.1."""
+    """Leaky ReLU with darknet's default slope of 0.1 (:func:`leaky_max`,
+    so 0 < slope ≤ 1)."""
     x = ensure_tensor(x)
-    mask = x.data > 0
-    out = _make(np.where(mask, x.data, slope * x.data), (x,))
+    out = _make(leaky_max(x.data, slope), (x,))
 
     def backward(grad, staged):
         grad = np.asarray(grad, dtype=np.float32)
-        _route(x, np.where(mask, grad, slope * grad), staged)
+        _route(x, np.where(x.data > 0, grad, slope * grad), staged)
 
     _define_backward(out, backward)
     return out
@@ -941,6 +985,12 @@ def batch_norm(
     When ``training`` is true, batch statistics are used and the running
     buffers are updated in place; at inference the running buffers are used,
     matching darknet/torch semantics.
+
+    The forward normalizes in one buffer, in place, as
+    ``((x − μ)·(1/σ))·γ + β``. The backward recomputes x̂ from ``x`` and
+    this forward's μ and 1/σ (eval mode copies the running mean, which a
+    later training-mode forward updates in place), only when γ needs a
+    gradient or batch statistics were used.
     """
     x = ensure_tensor(x)
     axes = (0, 2, 3)
@@ -954,15 +1004,20 @@ def batch_norm(
         running_var *= 1 - momentum
         running_var += momentum * unbiased
     else:
-        mean = running_mean
+        mean = running_mean.copy()
         var = running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-    value = gamma.data.reshape(1, -1, 1, 1) * x_hat + beta.data.reshape(1, -1, 1, 1)
-    out = _make(value.astype(np.float32), (x, gamma, beta))
+    mean = mean.reshape(1, -1, 1, 1)
+    inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
+    value = x.data - mean
+    value *= inv_std
+    value *= gamma.data.reshape(1, -1, 1, 1)
+    value += beta.data.reshape(1, -1, 1, 1)
+    out = _make(value, (x, gamma, beta))
 
     def backward(grad, staged):
         grad = np.asarray(grad, dtype=np.float32)
+        if gamma.requires_grad or training:
+            x_hat = (x.data - mean) * inv_std
         if gamma.requires_grad:
             _route(gamma, (grad * x_hat).sum(axis=axes), staged)
         if beta.requires_grad:
@@ -973,12 +1028,9 @@ def batch_norm(
                 m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
                 sum_g = g.sum(axis=axes, keepdims=True)
                 sum_gx = (g * x_hat).sum(axis=axes, keepdims=True)
-                grad_x = (
-                    inv_std.reshape(1, -1, 1, 1)
-                    * (g - sum_g / m - x_hat * sum_gx / m)
-                )
+                grad_x = inv_std * (g - sum_g / m - x_hat * sum_gx / m)
             else:
-                grad_x = g * inv_std.reshape(1, -1, 1, 1)
+                grad_x = g * inv_std
             _route(x, grad_x, staged)
 
     _define_backward(out, backward)

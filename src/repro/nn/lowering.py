@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .functional import ConvWorkspace
+from .functional import ConvWorkspace, leaky_max, pool_maxima
 from .graph import INPUT, Graph, Node
 from .tensor import Tensor, is_grad_enabled, no_grad
 
@@ -167,24 +167,23 @@ class _ConvExec:
         return self.epilogue()
 
     def epilogue(self) -> np.ndarray:
-        """Bias add and leaky ReLU, in place on the output buffer."""
+        """Bias add and leaky ReLU (:func:`leaky_max`, the autodiff
+        ``leaky_relu``'s kernel), in place on the output buffer."""
         out, spec = self.out, self.spec
         out += spec.bias_col
         if spec.slope is not None:
-            # leaky(x) = max(x, slope·x) for slope < 1, fused in place.
-            np.multiply(out, spec.slope, out=self.tmp)
-            np.maximum(out, self.tmp, out=out)
+            leaky_max(out, spec.slope, out=out, scratch=self.tmp)
         return out
 
 
 class _PoolExec:
-    """Stride-2 (or darknet stride-1 'same') max pool, reduction-only.
+    """Stride-2 (or darknet stride-1 'same') max pool into a pre-sized
+    buffer.
 
-    Inference needs no argmax bookkeeping — k² shifted-slice ``maximum``
-    passes into a pre-sized buffer replace the windowed argmax +
-    take_along_axis pair of the differentiable path (a tuple-axis ``max``
-    over the strided 6-D window view is ~10× slower than slice maxima:
-    it loses the contiguous inner loop).
+    Runs :func:`pool_maxima`, the kernel of the autodiff ``max_pool2d``:
+    k² shifted-slice ``maximum`` passes (a tuple-axis ``max`` over the
+    strided 6-D window view is ~10× slower: it loses the contiguous inner
+    loop).
     """
 
     __slots__ = ("kernel", "stride", "out", "padbuf")
@@ -215,15 +214,7 @@ class _PoolExec:
         if self.padbuf is not None:
             self.padbuf[:, :, :x.shape[2], :x.shape[3]] = x
             x = self.padbuf
-        k, s, out = self.kernel, self.stride, self.out
-        oh, ow = out.shape[2], out.shape[3]
-        np.copyto(out, x[:, :, :s * oh:s, :s * ow:s])
-        for i in range(k):
-            for j in range(k):
-                if i or j:
-                    np.maximum(out, x[:, :, i:i + s * oh:s, j:j + s * ow:s],
-                               out=out)
-        return out
+        return pool_maxima(x, self.kernel, self.stride, out=self.out)
 
 
 class _UpsampleExec:

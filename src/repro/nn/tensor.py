@@ -89,8 +89,10 @@ class Tensor:
         Array-like payload; converted to ``float32`` unless an integer dtype
         is passed explicitly via a pre-built numpy array.
     requires_grad:
-        Whether gradients should be accumulated into :attr:`grad` during
-        :meth:`backward`.
+        Whether gradients flow to this tensor during :meth:`backward`.
+        Leaves (tensors no op produced) and the tensor ``backward`` runs
+        from accumulate them into :attr:`grad`; an interior tensor's
+        gradient lives only for the backward that computes it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_staged")
@@ -152,10 +154,7 @@ class Tensor:
     def clone(self) -> "Tensor":
         """Return a differentiable copy of this tensor."""
         out = _make(self.data.copy(), (self,))
-        if out.requires_grad:
-            def backward(grad: np.ndarray) -> None:
-                self._accumulate(grad)
-            out._backward = backward
+        _define_backward(out, lambda grad, staged: _route(self, grad, staged))
         return out
 
     # ------------------------------------------------------------------
@@ -192,7 +191,8 @@ class Tensor:
 
     def _backward_into(self, grad: np.ndarray, grads: dict) -> None:
         # The backward closure accumulates directly into parent .grad for
-        # leaves and stages gradients for interior nodes via the shared dict.
+        # leaves and stages gradients for interior nodes via the shared dict
+        # (interior nodes keep no .grad).
         self._staged = grads  # type: ignore[attr-defined]
         try:
             self._backward(grad)  # type: ignore[misc]
@@ -308,17 +308,19 @@ def _make(data: np.ndarray, parents: Iterable[Tensor]) -> Tensor:
 
 
 def _route(parent: Tensor, grad: np.ndarray, grads: dict) -> None:
-    """Send ``grad`` to ``parent`` — stage it if the parent is interior."""
+    """Send ``grad`` to ``parent``: stage it if the parent is interior,
+    accumulate it into ``.grad`` if the parent is a leaf."""
     if not parent.requires_grad:
         return
+    if parent._backward is None:
+        parent._accumulate(grad)
+        return
     grad = unbroadcast(np.asarray(grad, dtype=np.float32), parent.data.shape)
-    if parent._backward is not None:
-        key = id(parent)
-        if key in grads:
-            grads[key] = grads[key] + grad
-        else:
-            grads[key] = grad
-    parent._accumulate(grad)
+    key = id(parent)
+    if key in grads:
+        grads[key] = grads[key] + grad
+    else:
+        grads[key] = grad
 
 
 def _define_backward(out: Tensor, fn: Callable[[np.ndarray, dict], None]) -> None:

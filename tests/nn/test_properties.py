@@ -10,12 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.gan import PatchGenerator
-from repro.nn import Tensor
+from repro.gan import PatchDiscriminator, PatchGenerator
+from repro.gan.losses import discriminator_loss, generator_adversarial_loss
+from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 from repro.nn.functional import ConvWorkspace
 from repro.nn.lowering import FusedConvSpec, _ConvExec
 from repro.nn.quant import INT8_QMAX, K_CHUNK, QuantConvSpec, _QuantConvExec
+from repro.nn.tensor import _define_backward, _make, _route, ensure_tensor
 
 small_arrays = st.integers(min_value=2, max_value=6)
 
@@ -274,6 +276,314 @@ class TestConvDifferential:
         x, w, b = rand((2, 120, 5, 5), 0), rand((3, 120, 3, 3), 1), rand((3,), 2)
         assert 120 * 9 > K_CHUNK
         self.assert_int8_matches_mac_oracle(x, w, b, 1, 1)
+
+
+# ----------------------------------------------------------------------
+# Differential pool / leaky ReLU / batch-norm: the value-only ops against
+# the versions that kept argmax indices, masks and x̂ for the backward
+# ----------------------------------------------------------------------
+
+def oracle_max_pool2d(x, kernel=2, stride=None, padding=0):
+    """Windowed argmax + ``take_along_axis`` pool; backward scatters with
+    ``np.add.at`` at the argmax."""
+    x = ensure_tensor(x)
+    stride = stride or kernel
+    data = x.data
+    n, c, h, w = data.shape
+    pad_spec = None
+    if stride == 1 and kernel == 2 and padding == 0:
+        pad_spec = ((0, 0), (0, 0), (0, 1), (0, 1))
+    elif padding:
+        pad_spec = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    if pad_spec is not None:
+        data = np.pad(data, pad_spec, constant_values=-np.inf)
+    ph, pw = data.shape[2], data.shape[3]
+    out_h = (ph - kernel) // stride + 1
+    out_w = (pw - kernel) // stride + 1
+    strides = data.strides
+    windows = np.lib.stride_tricks.as_strided(
+        data, shape=(n, c, out_h, out_w, kernel, kernel),
+        strides=(strides[0], strides[1], strides[2] * stride,
+                 strides[3] * stride, strides[2], strides[3]),
+        writeable=False)
+    flat = windows.reshape(n, c, out_h, out_w, kernel * kernel)
+    arg = flat.argmax(axis=-1)
+    value = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    out = _make(value, (x,))
+    if out.data.dtype != value.dtype:
+        out.data = value
+
+    def backward(grad, staged):
+        grad = np.asarray(grad, dtype=np.float32)
+        grad_padded = np.zeros((n, c, ph, pw), dtype=np.float32)
+        ky, kx = np.divmod(arg, kernel)
+        oy = np.arange(out_h)[None, None, :, None] * stride
+        ox = np.arange(out_w)[None, None, None, :] * stride
+        ni = np.arange(n)[:, None, None, None]
+        ci = np.arange(c)[None, :, None, None]
+        np.add.at(grad_padded, (ni, ci, oy + ky, ox + kx), grad)
+        if pad_spec is not None:
+            top, bottom = pad_spec[2]
+            left, right = pad_spec[3]
+            grad_padded = grad_padded[
+                :, :, top: ph - bottom or None, left: pw - right or None]
+        _route(x, grad_padded, staged)
+
+    _define_backward(out, backward)
+    return out
+
+
+def oracle_leaky_relu(x, slope=0.1):
+    """``where(x > 0, x, slope·x)``, the mask kept for the backward."""
+    x = ensure_tensor(x)
+    mask = x.data > 0
+    out = _make(np.where(mask, x.data, slope * x.data), (x,))
+
+    def backward(grad, staged):
+        grad = np.asarray(grad, dtype=np.float32)
+        _route(x, np.where(mask, grad, slope * grad), staged)
+
+    _define_backward(out, backward)
+    return out
+
+
+def oracle_batch_norm(x, gamma, beta, running_mean, running_var, training,
+                      momentum=0.1, eps=1e-5):
+    """Out-of-place batch-norm that keeps x̂ for the backward."""
+    x = ensure_tensor(x)
+    axes = (0, 2, 3)
+    if training:
+        mean = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
+        n_elems = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        unbiased = var * n_elems / max(n_elems - 1, 1)
+        running_mean *= 1 - momentum
+        running_mean += momentum * mean
+        running_var *= 1 - momentum
+        running_var += momentum * unbiased
+    else:
+        mean = running_mean
+        var = running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x.data - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+    value = (gamma.data.reshape(1, -1, 1, 1) * x_hat
+             + beta.data.reshape(1, -1, 1, 1))
+    out = _make(value.astype(np.float32), (x, gamma, beta))
+
+    def backward(grad, staged):
+        grad = np.asarray(grad, dtype=np.float32)
+        if gamma.requires_grad:
+            _route(gamma, (grad * x_hat).sum(axis=axes), staged)
+        if beta.requires_grad:
+            _route(beta, grad.sum(axis=axes), staged)
+        if x.requires_grad:
+            g = grad * gamma.data.reshape(1, -1, 1, 1)
+            if training:
+                m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+                sum_g = g.sum(axis=axes, keepdims=True)
+                sum_gx = (g * x_hat).sum(axis=axes, keepdims=True)
+                grad_x = (inv_std.reshape(1, -1, 1, 1)
+                          * (g - sum_g / m - x_hat * sum_gx / m))
+            else:
+                grad_x = g * inv_std.reshape(1, -1, 1, 1)
+            _route(x, grad_x, staged)
+
+    _define_backward(out, backward)
+    return out
+
+
+ORACLES = {"max_pool2d": oracle_max_pool2d, "leaky_relu": oracle_leaky_relu,
+           "batch_norm": oracle_batch_norm}
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0])
+
+
+def assert_same_bits(got, want, what=""):
+    """Equal dtype, shape and values, NaN positions and zero signs."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert np.array_equal(got, want, equal_nan=True), what
+    nan = np.isnan(want)
+    assert np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan]), what
+
+
+def special_values(rng, shape, dtype, rate):
+    """Small integers (so ties occur) with NaN, ±inf and −0.0 mixed in."""
+    values = rng.integers(-3, 4, size=shape).astype(dtype)
+    mask = rng.random(shape) < rate
+    values[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return values
+
+
+def leaf(data):
+    """A gradient-tracked leaf holding ``data`` in its own dtype (the
+    constructor would cast a float64 array to float32)."""
+    tensor = Tensor(np.zeros(data.shape, np.float32), requires_grad=True)
+    tensor.data = data
+    return tensor
+
+
+@st.composite
+def op_inputs(draw):
+    """(x, upstream seed): NCHW inputs with ties and special values."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 8)),
+             draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rate = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    seed = draw(st.integers(0, 10_000))
+    return special_values(np.random.default_rng(seed), shape, dtype, rate), seed
+
+
+def upstream_for(shape, seed):
+    """Non-integer upstream gradients (so summation order shows), some −0.0."""
+    upstream = rand(shape, seed + 1)
+    upstream[np.random.default_rng(seed + 2).random(shape) < 0.1] = -0.0
+    return upstream
+
+
+def run_op(op, x, seed, *args, **kwargs):
+    tensor = leaf(x)
+    out = op(tensor, *args, **kwargs)
+    out.backward(upstream_for(out.shape, seed))
+    return out.data, tensor.grad
+
+
+class TestValueOnlyOpsDifferential:
+    """``F.max_pool2d``, ``F.leaky_relu`` and ``F.batch_norm`` against the
+    oracles above: values and every gradient bit-identical."""
+
+    @given(case=op_inputs(),
+           pool=st.sampled_from([(2, 2, 0), (2, 1, 0), (3, 2, 0), (3, 1, 1)]))
+    @settings(max_examples=150, deadline=None)
+    def test_max_pool_matches_argmax_pool(self, case, pool):
+        x, seed = case
+        kernel, stride, padding = pool
+        # The darknet 'same' pool (2, 1, 0) pads one −inf row and column.
+        added = 1 if pool == (2, 1, 0) else 2 * padding
+        assume(min(x.shape[2:]) + added >= kernel)
+        got = run_op(F.max_pool2d, x, seed, kernel, stride, padding)
+        want = run_op(oracle_max_pool2d, x, seed, kernel, stride, padding)
+        assert_same_bits(got[0], want[0], "value")
+        assert_same_bits(got[1], want[1], "grad")
+
+    @given(case=op_inputs(), slope=st.sampled_from([0.1, 0.2, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_leaky_relu_matches_mask_form(self, case, slope):
+        x, seed = case
+        got = run_op(F.leaky_relu, x, seed, slope)
+        want = run_op(oracle_leaky_relu, x, seed, slope)
+        assert_same_bits(got[0], want[0], "value")
+        assert_same_bits(got[1], want[1], "grad")
+
+    # Slope 0 too: 0·inf is NaN, so max(x, 0·x) would be NaN at +inf,
+    # where the mask form gives +inf.
+    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5])
+    def test_leaky_relu_rejects_slopes_outside_the_max_form(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            F.leaky_relu(Tensor(np.ones((1, 1, 2, 2), np.float32)), slope)
+
+    @given(case=op_inputs(), training=st.booleans(),
+           gamma_grad=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_norm_matches_x_hat_form(self, case, training, gamma_grad):
+        x, seed = case
+        c = x.shape[1]
+        rng = np.random.default_rng(seed + 3)
+        params = (rand((c,), seed + 4), rand((c,), seed + 5),
+                  rng.normal(size=c).astype(np.float32),
+                  (0.5 + rng.random(c)).astype(np.float32))
+        interleaved = rand(x.shape, seed + 6)
+
+        def run(op):
+            gamma = Tensor(params[0].copy(), requires_grad=gamma_grad)
+            beta = Tensor(params[1].copy(), requires_grad=True)
+            running_mean, running_var = params[2].copy(), params[3].copy()
+            tensor = leaf(x)
+            out = op(tensor, gamma, beta, running_mean, running_var, training)
+            # A training-mode forward of the same layer between this
+            # forward and its backward moves the running statistics.
+            op(Tensor(interleaved), gamma, beta, running_mean, running_var,
+               True)
+            out.backward(upstream_for(out.shape, seed))
+            return {"value": out.data, "x": tensor.grad, "gamma": gamma.grad,
+                    "beta": beta.grad, "running_mean": running_mean,
+                    "running_var": running_var}
+
+        got, want = run(F.batch_norm), run(oracle_batch_norm)
+        for name in want:
+            if want[name] is None:
+                assert got[name] is None, name
+            else:
+                assert_same_bits(got[name], want[name], name)
+
+
+def with_oracle_ops(monkeypatch, fn):
+    """``fn()`` with the oracle pool, leaky ReLU and batch-norm patched
+    into :mod:`repro.nn.functional`."""
+    with monkeypatch.context() as patched:
+        for name, oracle in ORACLES.items():
+            patched.setattr(F, name, oracle)
+        return fn()
+
+
+class TestValueOnlyOpsModules:
+    """Whole modules with the new ops against the same run with the
+    oracle ops patched in."""
+
+    def test_detector_heads_under_no_grad(self, make_model, monkeypatch):
+        model = make_model(input_size=96, width=0.25)
+        x = Tensor(np.random.default_rng(0).random((3, 3, 96, 96),
+                                                   dtype=np.float32))
+
+        def heads():
+            with no_grad():
+                return [head.data for head in model(x)]
+
+        want = with_oracle_ops(monkeypatch, heads)
+        for got_head, want_head in zip(heads(), want):
+            assert_same_bits(got_head, want_head)
+
+    def test_detector_input_gradient(self, make_model, monkeypatch):
+        model = make_model(input_size=96, width=0.25)
+        for param in model.parameters():
+            param.requires_grad = False
+        image = np.random.default_rng(1).random((2, 3, 96, 96),
+                                                dtype=np.float32)
+
+        def input_grad():
+            x = Tensor(image, requires_grad=True)
+            coarse, fine = model(x)
+            loss = ((coarse * rand(coarse.shape, 2)).sum()
+                    + (fine * rand(fine.shape, 3)).sum())
+            loss.backward()
+            return x.grad
+
+        assert_same_bits(input_grad(), with_oracle_ops(monkeypatch, input_grad))
+
+    def test_gan_training_step_parameter_gradients(self, monkeypatch):
+        real = np.random.default_rng(4).random((6, 1, 60, 60),
+                                               dtype=np.float32)
+        z = np.random.default_rng(5).normal(size=(6, 32)).astype(np.float32)
+
+        def step():
+            generator, discriminator = PatchGenerator(60), PatchDiscriminator(60)
+            fake = generator(Tensor(z))
+            loss = (discriminator_loss(discriminator(Tensor(real)),
+                                       discriminator(fake))
+                    + generator_adversarial_loss(discriminator(fake)))
+            loss.backward()
+            grads = {f"g.{name}": p.grad
+                     for name, p in generator.named_parameters()}
+            grads.update({f"d.{name}": p.grad
+                          for name, p in discriminator.named_parameters()})
+            grads.update({f"g.{name}": buf
+                          for name, buf in generator.named_buffers()})
+            return grads
+
+        got, want = step(), with_oracle_ops(monkeypatch, step)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert_same_bits(got[name], want[name], name)
 
 
 # ----------------------------------------------------------------------

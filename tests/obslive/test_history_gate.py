@@ -8,9 +8,12 @@ import importlib.util
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.obs import span_scope
 from repro.obs.history import (
     check_trend,
     detect_regression,
@@ -163,6 +166,36 @@ class TestBenchGates:
         assert serve.check_history_trend(path, healthy) == 0
         slow_tail = {"sustained_fps": 50.0, "latency_p99_ms": 80.0}
         assert serve.check_history_trend(path, slow_tail) == 1
+
+    @pytest.mark.parametrize("workers, speedup, fatal", [
+        (0, 1.05, False),   # serial against serial: no parallel target
+        (2, 1.2, True),     # under the floor on enough CPUs
+        (2, 1.6, False),
+    ])
+    def test_train_speedup_floor_binds_two_or_more_workers(
+            self, tmp_path, monkeypatch, workers, speedup, fatal):
+        train = load_script("bench_train.py")
+        patch = SimpleNamespace(patch=np.zeros((1, 1, 4, 4), np.float32))
+
+        def timed_run(args, n_workers, runtime=None, obs=None, live=None):
+            with span_scope(obs, "attack.train"):  # the stage table's trace
+                return patch, 10.0 if n_workers == 0 else 10.0 / speedup
+
+        monkeypatch.setattr(train, "run_training", timed_run)
+        monkeypatch.setattr(train.os, "cpu_count", lambda: 2)
+        report = os.path.join(tmp_path, "BENCH_train.json")
+        argv = ["--workers", str(workers), "--steps", "4",
+                "--skip-resume-gate", "--history", "", "--output", report]
+        if fatal:
+            # A string exit code makes the interpreter exit with status 1.
+            with pytest.raises(SystemExit, match="FATAL.*below the 1.5x"):
+                train.main(argv)
+            assert not os.path.exists(report)
+        else:
+            assert train.main(argv) == 0
+            with open(report) as handle:
+                gate = json.load(handle)["speedup_gate"]
+            assert gate["enforced"] == (workers >= 2)
 
     def test_injected_regression_fails_the_train_gate(self, tmp_path):
         path = os.path.join(tmp_path, "h.jsonl")
