@@ -12,9 +12,26 @@ import pytest
 from repro.detection import TinyYolo, detections_from_outputs, reduced_config
 from repro.eot import EOTPipeline
 from repro.nn import Tensor, no_grad
-from repro.patch import apply_patches, placement_offsets, shape_image, soft_background_mask
+from repro.patch import (
+    apply_patches,
+    patch_world_size,
+    placement_offsets,
+    shape_image,
+    soft_background_mask,
+)
 from repro.patch.apply import PixelPlacement
-from repro.scene import Camera, RoadScene, SceneObject, camera_degrade, print_patch, render_scene
+from repro.scene import (
+    AttackScenario,
+    Camera,
+    DeployedDecals,
+    RoadScene,
+    SceneObject,
+    camera_degrade,
+    challenge_trajectory,
+    print_patch,
+    render_run,
+    render_scene,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +96,22 @@ def test_scene_rendering(benchmark):
     scene = RoadScene(objects=[SceneObject("mark", z=7.0)])
     rng = np.random.default_rng(0)
     benchmark(lambda: render_scene(scene, camera, rng))
+
+
+def test_render_run(benchmark):
+    """One physical, decal-bearing speed/slow video: render_run's stacked
+    background, decals and capture model."""
+    rng = np.random.default_rng(0)
+    shape = shape_image("star", 60)
+    decals = DeployedDecals(
+        patch_rgb=print_patch(np.repeat(shape, 3, axis=0), rng),
+        alpha=1.0 - shape[0],
+        world_size_m=patch_world_size(60),
+        offsets=placement_offsets(4),
+    )
+    poses = challenge_trajectory("speed/slow")
+    scenario = AttackScenario()
+    benchmark(lambda: render_run(scenario, poses, rng, decals=decals, physical=True))
 
 
 def test_print_model(benchmark):

@@ -23,7 +23,14 @@ from ..nn import Tensor, concatenate
 from ..nn import functional as F
 from ..nn.tensor import pad2d
 
-__all__ = ["PixelPlacement", "apply_patches", "solve_homography", "paste_patch_perspective"]
+__all__ = [
+    "PixelPlacement",
+    "apply_patches",
+    "solve_homography",
+    "solve_homographies",
+    "paste_patch_perspective",
+    "paste_decals",
+]
 
 
 @dataclass
@@ -120,20 +127,29 @@ def apply_patches(
 # Perspective paste (evaluation / physical deployment path)
 # ----------------------------------------------------------------------
 
+def solve_homographies(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Homographies ``(D, 3, 3)`` with ``dst[d] ~ H[d] @ src[d]`` from
+    ``(D, 4, 2)`` point pairs (x, y): one stacked SVD for all ``D``."""
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 4, 2)
+    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 4, 2)
+    sx, sy = src[..., 0], src[..., 1]
+    dx, dy = dst[..., 0], dst[..., 1]
+    one, zero = np.ones_like(sx), np.zeros_like(sx)
+    # Two rows per point pair, interleaved: (D, 4, 2, 9) -> (D, 8, 9).
+    matrix = np.stack([
+        np.stack([sx, sy, one, zero, zero, zero, -dx * sx, -dx * sy, -dx], axis=-1),
+        np.stack([zero, zero, zero, sx, sy, one, -dy * sx, -dy * sy, -dy], axis=-1),
+    ], axis=2).reshape(-1, 8, 9)
+    _, _, vt = np.linalg.svd(matrix)
+    h = vt[:, -1].reshape(-1, 3, 3)
+    if (np.abs(h[:, 2, 2]) < 1e-12).any():
+        raise ValueError("degenerate homography")
+    return h / h[:, 2:, 2:]
+
+
 def solve_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Homography H (3×3) with ``dst ~ H @ src`` from 4 point pairs (x, y)."""
-    src = np.asarray(src, dtype=np.float64).reshape(4, 2)
-    dst = np.asarray(dst, dtype=np.float64).reshape(4, 2)
-    rows = []
-    for (sx, sy), (dx, dy) in zip(src, dst):
-        rows.append([sx, sy, 1, 0, 0, 0, -dx * sx, -dx * sy, -dx])
-        rows.append([0, 0, 0, sx, sy, 1, -dy * sx, -dy * sy, -dy])
-    matrix = np.asarray(rows)
-    _, _, vt = np.linalg.svd(matrix)
-    h = vt[-1].reshape(3, 3)
-    if abs(h[2, 2]) < 1e-12:
-        raise ValueError("degenerate homography")
-    return h / h[2, 2]
+    return solve_homographies(src, dst)[0]
 
 
 def paste_patch_perspective(
@@ -157,36 +173,75 @@ def paste_patch_perspective(
         near-left, near-right, far-right, far-left (see
         :meth:`repro.scene.camera.Camera.ground_patch_quad`).
     """
-    frame = frame.copy()
-    _, height, width = frame.shape
-    k = patch_rgb.shape[1]
-    quad = np.asarray(quad_vu, dtype=np.float64)
+    frames = frame[None].copy()
+    paste_decals(frames, [0], patch_rgb, alpha, np.asarray(quad_vu)[None])
+    return frames[0]
+
+
+def paste_decals(
+    frames: np.ndarray,
+    owners: Sequence[int],
+    patch_rgb: np.ndarray,
+    alpha: np.ndarray,
+    quads_vu: np.ndarray,
+) -> None:
+    """Composite one decal per quad into an ``(F, C, H, W)`` stack in place.
+
+    Quad ``d`` (``(D, 4, 2)``, ordered as in
+    :func:`paste_patch_perspective`) lands on frame ``owners[d]``; decals
+    on one frame are pasted in quad order. All ``D`` homographies come
+    from one stacked solve and one stacked inverse.
+    """
+    if len(owners) == 0:
+        return
+    height, width = frames.shape[2:]
+    channels, k = patch_rgb.shape[:2]
+    rgba = np.concatenate([patch_rgb.astype(np.float32),
+                           alpha.astype(np.float32).reshape(1, k, k)]
+                          ).reshape(channels + 1, k * k)
+    quads = np.asarray(quads_vu, dtype=np.float64).reshape(-1, 4, 2)
     # Patch corners in (x, y): bottom edge = near edge of the quad.
     src = np.asarray(
         [[0, k - 1], [k - 1, k - 1], [k - 1, 0], [0, 0]], dtype=np.float64
     )
-    dst = quad[:, ::-1]  # (v, u) -> (u=x, v=y)
-    h_matrix = solve_homography(src, dst)
-    h_inverse = np.linalg.inv(h_matrix)
+    src = np.broadcast_to(src, quads.shape)
+    h_inverse = np.linalg.inv(solve_homographies(src, quads[:, :, ::-1]))
 
-    v0 = int(np.floor(quad[:, 0].min()))
-    v1 = int(np.ceil(quad[:, 0].max())) + 1
-    u0 = int(np.floor(quad[:, 1].min()))
-    u1 = int(np.ceil(quad[:, 1].max())) + 1
-    v0, v1 = max(v0, 0), min(v1, height)
-    u0, u1 = max(u0, 0), min(u1, width)
-    if v0 >= v1 or u0 >= u1:
-        return frame
+    # Each decal's bounding box, clipped to the frame.
+    v0 = np.maximum(np.floor(quads[:, :, 0].min(axis=1)), 0).astype(int)
+    v1 = np.minimum(np.ceil(quads[:, :, 0].max(axis=1)) + 1, height).astype(int)
+    u0 = np.maximum(np.floor(quads[:, :, 1].min(axis=1)), 0).astype(int)
+    u1 = np.minimum(np.ceil(quads[:, :, 1].max(axis=1)) + 1, width).astype(int)
+    boxes = {}
+    for d, owner in enumerate(owners):
+        if v0[d] < v1[d] and u0[d] < u1[d]:
+            boxes.setdefault(owner, []).append(
+                (h_inverse[d], slice(v0[d], v1[d]), slice(u0[d], u1[d])))
+    for owner, frame_boxes in boxes.items():
+        _paste_boxes(frames[owner], rgba, k, frame_boxes)
 
-    vs, us = np.mgrid[v0:v1, u0:u1].astype(np.float64)
-    ones = np.ones_like(us)
-    coords = np.stack([us.ravel(), vs.ravel(), ones.ravel()])
-    mapped = h_inverse @ coords
+
+def _paste_boxes(frame: np.ndarray, rgba: np.ndarray, k: int,
+                 boxes: Sequence[Tuple[np.ndarray, slice, slice]]) -> None:
+    """Sample and composite one frame's decals, given each decal's inverse
+    homography and bounding box (rows, cols), in order.
+
+    Each decal maps its box back into the patch with its own matmul; the
+    bilinear sampling, rgb and alpha in one gather, then runs once over
+    the frame's boxes laid end to end. Per pixel every step is the
+    one-decal arithmetic.
+    """
+    mapped = []
+    for inverse, rows, cols in boxes:
+        coords = np.empty((3, rows.stop - rows.start, cols.stop - cols.start))
+        coords[0] = np.arange(cols.start, cols.stop)
+        coords[1] = np.arange(rows.start, rows.stop)[:, None]
+        coords[2] = 1.0
+        mapped.append(inverse @ coords.reshape(3, -1))
+    mapped = np.concatenate(mapped, axis=1)
     px = mapped[0] / mapped[2]
     py = mapped[1] / mapped[2]
     inside = (px >= 0) & (px <= k - 1) & (py >= 0) & (py <= k - 1)
-    if not inside.any():
-        return frame
     px_c = np.clip(px, 0, k - 1)
     py_c = np.clip(py, 0, k - 1)
     x_floor = np.floor(px_c).astype(int)
@@ -195,22 +250,25 @@ def paste_patch_perspective(
     y_ceil = np.minimum(y_floor + 1, k - 1)
     wx = (px_c - x_floor).astype(np.float32)
     wy = (py_c - y_floor).astype(np.float32)
+    wx_1, wy_1 = 1 - wx, 1 - wy
+    y_floor *= k
+    y_ceil *= k
+    sampled = (
+        rgba[:, y_floor + x_floor] * wy_1 * wx_1
+        + rgba[:, y_floor + x_ceil] * wy_1 * wx
+        + rgba[:, y_ceil + x_floor] * wy * wx_1
+        + rgba[:, y_ceil + x_ceil] * wy * wx
+    )
+    channels = len(rgba) - 1
+    alpha_values = sampled[channels] * inside
 
-    def sample(array: np.ndarray) -> np.ndarray:
-        if array.ndim == 2:
-            array = array[None]
-        return (
-            array[:, y_floor, x_floor] * (1 - wy) * (1 - wx)
-            + array[:, y_floor, x_ceil] * (1 - wy) * wx
-            + array[:, y_ceil, x_floor] * wy * (1 - wx)
-            + array[:, y_ceil, x_ceil] * wy * wx
-        )
-
-    patch_values = sample(patch_rgb.astype(np.float32))
-    alpha_values = sample(alpha.astype(np.float32))[0] * inside
-    region_shape = (v1 - v0, u1 - u0)
-    alpha_map = alpha_values.reshape(region_shape)
-    patch_map = patch_values.reshape(3, *region_shape)
-    region = frame[:, v0:v1, u0:u1]
-    frame[:, v0:v1, u0:u1] = region * (1 - alpha_map) + patch_map * alpha_map
-    return frame
+    # Composite in quad order: decals on one frame may overlap.
+    end = 0
+    for _, rows, cols in boxes:
+        region_shape = (rows.stop - rows.start, cols.stop - cols.start)
+        start, end = end, end + region_shape[0] * region_shape[1]
+        if not inside[start:end].any():
+            continue
+        alpha_map = alpha_values[start:end].reshape(region_shape)
+        patch_map = sampled[:channels, start:end].reshape(channels, *region_shape)
+        frame[:, rows, cols] = frame[:, rows, cols] * (1 - alpha_map) + patch_map * alpha_map

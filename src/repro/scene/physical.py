@@ -17,12 +17,20 @@ substitution for their printer + camera loop (DESIGN.md §2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import ndimage
 
-__all__ = ["PrintModel", "CaptureModel", "print_patch", "camera_degrade"]
+__all__ = [
+    "PrintModel",
+    "CaptureModel",
+    "CaptureDraws",
+    "print_patch",
+    "draw_capture",
+    "camera_degrade",
+    "degrade_frames",
+]
 
 
 @dataclass(frozen=True)
@@ -88,26 +96,77 @@ class CaptureModel:
     blur_per_speed: float = 0.05  # motion-blur pixels per km/h
 
 
+@dataclass(frozen=True)
+class CaptureDraws:
+    """One frame's share of the generator for the capture model.
+
+    :func:`draw_capture` takes these in the order :func:`camera_degrade`
+    always has: the coarse illumination grid, the shadow coin (plus the
+    band's angle and offset when it lands), then the sensor noise (kept
+    as the float32 the frame adds).
+    """
+
+    coarse: np.ndarray
+    shadow: Optional[Tuple[float, float]]
+    noise: np.ndarray
+
+
+def draw_capture(rng: np.random.Generator, shape: Tuple[int, int, int],
+                 model: CaptureModel) -> CaptureDraws:
+    """Consume ``rng`` exactly as :func:`camera_degrade` does for one
+    CHW frame of ``shape``."""
+    coarse = _coarse_grid(shape[1:], rng)
+    shadow = None
+    if rng.random() < model.shadow_probability:
+        shadow = _band_draw(rng)
+    noise = rng.normal(0.0, model.noise_sigma, size=shape).astype(np.float32)
+    return CaptureDraws(coarse, shadow, noise)
+
+
+def _coarse_grid(shape_hw, rng: np.random.Generator) -> np.ndarray:
+    h, w = shape_hw
+    return rng.normal(0.0, 1.0, size=(max(h // 16, 2), max(w // 16, 2)))
+
+
+def _illumination_fields(coarse: np.ndarray, shape_hw, amplitude: float) -> np.ndarray:
+    """Smooth multiplicative lighting fields in [1-a, 1+a], one per grid
+    of the ``(F, gh, gw)`` stack ``coarse``."""
+    h, w = shape_hw
+    # One 2-D zoom per frame: a 3-D zoom over the stack gives the same
+    # bytes but interpolates 8 corners per pixel instead of 4 (2× slower).
+    field = np.stack([
+        ndimage.zoom(grid, (h / grid.shape[0], w / grid.shape[1]), order=1)[:h, :w]
+        for grid in coarse
+    ])
+    field /= np.abs(field).max(axis=(1, 2), keepdims=True) + 1e-9
+    field *= amplitude
+    field += 1.0
+    return field.astype(np.float32)
+
+
 def _illumination_field(shape_hw, rng: np.random.Generator,
                         amplitude: float) -> np.ndarray:
     """Smooth multiplicative lighting field in [1-a, 1+a]."""
-    h, w = shape_hw
-    coarse = rng.normal(0.0, 1.0, size=(max(h // 16, 2), max(w // 16, 2)))
-    field = ndimage.zoom(coarse, (h / coarse.shape[0], w / coarse.shape[1]), order=1)
-    field = field[:h, :w]
-    field = field / (np.abs(field).max() + 1e-9)
-    return (1.0 + amplitude * field).astype(np.float32)
+    return _illumination_fields(_coarse_grid(shape_hw, rng)[None], shape_hw, amplitude)[0]
 
 
-def _shadow_band(shape_hw, rng: np.random.Generator, strength: float) -> np.ndarray:
-    """A soft diagonal shadow band (e.g. cast by a structure)."""
-    h, w = shape_hw
+def _band_draw(rng: np.random.Generator) -> Tuple[float, float]:
     angle = rng.uniform(0, np.pi)
     offset = rng.uniform(0.2, 0.8)
+    return angle, offset
+
+
+def _band(shape_hw, angle: float, offset: float, strength: float) -> np.ndarray:
+    h, w = shape_hw
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float32)
     axis = (np.cos(angle) * xs / w + np.sin(angle) * ys / h)
     band = np.exp(-((axis - offset) ** 2) / (2 * 0.08 ** 2))
     return (1.0 - strength * band).astype(np.float32)
+
+
+def _shadow_band(shape_hw, rng: np.random.Generator, strength: float) -> np.ndarray:
+    """A soft diagonal shadow band (e.g. cast by a structure)."""
+    return _band(shape_hw, *_band_draw(rng), strength)
 
 
 def camera_degrade(
@@ -120,24 +179,51 @@ def camera_degrade(
 
     Motion blur grows with ``speed_kmh``, which is what makes the paper's
     "fast" setting the hardest for every attack (Tables I-VI all show the
-    same monotone drop).
+    same monotone drop). The one-frame case of :func:`degrade_frames`;
+    ``frame`` is left unchanged.
     """
     model = model or CaptureModel()
-    frame = np.asarray(frame, dtype=np.float32).copy()
-    _, h, w = frame.shape
+    frame = np.asarray(frame, dtype=np.float32)
+    draws = draw_capture(rng, frame.shape, model)
+    return degrade_frames(frame[None], [draws], [speed_kmh], model)[0]
 
-    field = _illumination_field((h, w), rng, model.illumination_amplitude)
-    frame *= field[None]
-    if rng.random() < model.shadow_probability:
-        frame *= _shadow_band((h, w), rng, model.shadow_strength)[None]
 
-    blur_px = model.blur_per_speed * max(speed_kmh, 0.0)
-    if blur_px >= 0.5:
-        # Vertical streak: the scene flows downward/outward while driving.
-        kernel_len = max(int(round(blur_px)), 1)
-        frame = ndimage.uniform_filter1d(frame, size=kernel_len + 1, axis=1)
+def degrade_frames(
+    frames: np.ndarray,
+    draws: Sequence[CaptureDraws],
+    speeds_kmh: Sequence[float],
+    model: CaptureModel,
+) -> np.ndarray:
+    """:func:`camera_degrade` over an ``(F, C, H, W)`` float32 stack whose
+    randomness was drawn beforehand, one :class:`CaptureDraws` per frame.
+
+    The filters run over the stack with the frame axis untouched, so each
+    frame comes out byte-identical to its own :func:`camera_degrade` call;
+    ``frames`` is left unchanged.
+    """
+    _, _, h, w = frames.shape
+    out = frames * _illumination_fields(np.stack([d.coarse for d in draws]), (h, w),
+                                        model.illumination_amplitude)[:, None]
+    for index, drawn in enumerate(draws):
+        if drawn.shadow is not None:
+            out[index] *= _band((h, w), *drawn.shadow, model.shadow_strength)[None]
+
+    # Vertical streak: the scene flows downward/outward while driving.
+    lengths = np.asarray([
+        max(int(round(blur_px)), 1) if blur_px >= 0.5 else 0
+        for blur_px in (model.blur_per_speed * max(s, 0.0) for s in speeds_kmh)
+    ])
+    for length in np.unique(lengths[lengths > 0]):
+        blurred = lengths == length
+        if blurred.all():  # one speed per video: filter the stack in place
+            ndimage.uniform_filter1d(out, size=int(length) + 1, axis=2, output=out)
+        else:
+            out[blurred] = ndimage.uniform_filter1d(out[blurred], size=int(length) + 1,
+                                                    axis=2)
     if model.defocus_sigma > 0:
-        frame = ndimage.gaussian_filter(frame, sigma=(0, model.defocus_sigma, model.defocus_sigma))
+        ndimage.gaussian_filter(out, sigma=(0, 0, model.defocus_sigma, model.defocus_sigma),
+                                output=out)
 
-    frame += rng.normal(0.0, model.noise_sigma, size=frame.shape).astype(np.float32)
-    return np.clip(frame, 0.0, 1.0)
+    for index, drawn in enumerate(draws):
+        out[index] += drawn.noise
+    return np.clip(out, 0.0, 1.0, out=out)

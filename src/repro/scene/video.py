@@ -23,14 +23,24 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..detection.targets import GroundTruth
-from ..patch.apply import PixelPlacement, paste_patch_perspective
+from ..patch.apply import PixelPlacement, paste_decals
 from ..patch.placement import DECAL_ELONGATION, Placement
 from .camera import Camera
-from .physical import CaptureModel, camera_degrade
-from .road import RoadScene, SceneObject, SceneStyle, render_scene, rotate_image, _rotate_box
+from .physical import CaptureModel, camera_degrade, degrade_frames, draw_capture
+from .road import (
+    RoadScene,
+    SceneObject,
+    SceneStyle,
+    _rotate_box,
+    background_template,
+    place_objects,
+    render_scene,
+    rotate_image,
+)
 from .trajectory import FramePose
 
 __all__ = [
+    "RENDER_CHUNK",
     "AttackScenario",
     "DeployedDecals",
     "RenderedFrame",
@@ -39,6 +49,10 @@ __all__ = [
     "render_run",
     "sample_training_frames",
 ]
+
+
+#: Frames :func:`render_run` renders as one stack (DESIGN.md §16).
+RENDER_CHUNK = 8
 
 
 @dataclass
@@ -59,6 +73,9 @@ class AttackScenario:
         return SceneStyle.sample(np.random.default_rng(self.style_seed))
 
     def scene_for(self, pose: FramePose) -> RoadScene:
+        return RoadScene(objects=self.objects_for(pose), style=self.style())
+
+    def objects_for(self, pose: FramePose) -> List[SceneObject]:
         objects = [
             SceneObject(
                 class_name=self.target_class,
@@ -74,7 +91,7 @@ class AttackScenario:
                 SceneObject("car", z=pose.distance + 14.0, x=2.6,
                             sprite_seed=self.sprite_seed + 1)
             )
-        return RoadScene(objects=objects, style=self.style())
+        return objects
 
 
 @dataclass
@@ -119,19 +136,29 @@ def _target_box(truth: GroundTruth, target_label: int) -> Optional[np.ndarray]:
     return truth.boxes_xywh[matches[0]]
 
 
+def _decal_quads(
+    camera: Camera, pose: FramePose, offsets: Sequence[Placement],
+    world_size_m: float,
+) -> List[np.ndarray]:
+    """Pixel ground quads of the decals still ahead of the camera."""
+    quads = []
+    length = DECAL_ELONGATION * world_size_m
+    for offset in offsets:
+        z = pose.distance + offset.dz
+        x = pose.lateral + offset.dx
+        if z - length / 2.0 <= 0.3:
+            continue  # decal's near edge has passed under the camera
+        quads.append(camera.ground_patch_quad(z, x, world_size_m, length_m=length))
+    return quads
+
+
 def _decal_placements(
     camera: Camera, pose: FramePose, offsets: Sequence[Placement],
     world_size_m: float,
 ) -> List[PixelPlacement]:
     """Project world decal placements to axis-aligned pixel placements."""
     placements = []
-    for offset in offsets:
-        z = pose.distance + offset.dz
-        x = pose.lateral + offset.dx
-        length = DECAL_ELONGATION * world_size_m
-        if z - length / 2.0 <= 0.3:
-            continue  # decal's near edge has passed under the camera
-        quad = camera.ground_patch_quad(z, x, world_size_m, length_m=length)
+    for quad in _decal_quads(camera, pose, offsets, world_size_m):
         center_v = float(quad[:, 0].mean())
         center_u = float(quad[:, 1].mean())
         size = float(abs(quad[1, 1] - quad[0, 1]))      # near-edge width
@@ -148,45 +175,9 @@ def render_frame(
     physical: bool = False,
     capture_model: Optional[CaptureModel] = None,
 ) -> RenderedFrame:
-    """Render one frame of an evaluation run."""
-    from ..detection.config import CLASS_NAMES
-
-    camera = scenario.camera()  # roll applied manually after compositing
-    scene = scenario.scene_for(pose)
-    image, truth = render_scene(scene, camera, rng)
-
-    if decals is not None:
-        for offset in decals.offsets:
-            z = pose.distance + offset.dz
-            x = pose.lateral + offset.dx
-            length = DECAL_ELONGATION * decals.world_size_m
-            if z - length / 2.0 <= 0.3:
-                continue  # decal's near edge has passed under the camera
-            quad = camera.ground_patch_quad(z, x, decals.world_size_m,
-                                            length_m=length)
-            image = paste_patch_perspective(image, decals.patch_rgb, decals.alpha, quad)
-
-    if abs(pose.roll_degrees) > 1e-6:
-        image = rotate_image(image, pose.roll_degrees)
-        boxes = [
-            _rotate_box(tuple(b), pose.roll_degrees, scenario.image_size)
-            for b in truth.boxes_xywh
-        ]
-        truth = GroundTruth(
-            boxes_xywh=np.asarray(boxes, dtype=np.float32).reshape(-1, 4),
-            labels=truth.labels,
-        )
-
-    if physical:
-        image = camera_degrade(image, rng, speed_kmh=pose.speed_kmh, model=capture_model)
-
-    target_label = CLASS_NAMES.index(scenario.target_class)
-    return RenderedFrame(
-        image=image,
-        truth=truth,
-        target_box_xywh=_target_box(truth, target_label),
-        pose=pose,
-    )
+    """Render one frame of an evaluation run: the one-frame
+    :func:`render_run`."""
+    return _render_chunk(scenario, [pose], rng, decals, physical, capture_model)[0]
 
 
 def render_run(
@@ -197,11 +188,84 @@ def render_run(
     physical: bool = False,
     capture_model: Optional[CaptureModel] = None,
 ) -> List[RenderedFrame]:
-    """Render a whole challenge video."""
+    """Render a whole challenge video, :data:`RENDER_CHUNK` frames at a time.
+
+    Frames and the generator's final state are those of rendering the
+    poses one by one (DESIGN.md §16).
+    """
+    frames: List[RenderedFrame] = []
+    for start in range(0, len(poses), RENDER_CHUNK):
+        frames.extend(_render_chunk(scenario, poses[start:start + RENDER_CHUNK], rng,
+                                    decals, physical, capture_model))
+    return frames
+
+
+def _render_chunk(
+    scenario: AttackScenario,
+    poses: Sequence[FramePose],
+    rng: np.random.Generator,
+    decals: Optional[DeployedDecals],
+    physical: bool,
+    capture_model: Optional[CaptureModel],
+) -> List[RenderedFrame]:
+    """Render ``poses`` as one ``(F, 3, H, W)`` stack in two passes.
+
+    The draw pass takes every random number of the chunk from ``rng``
+    frame by frame, in the order a lone frame takes them: background
+    noise, then the capture model's draws. The compute pass then runs
+    background, objects, decals, roll and the capture model over the
+    stack. Nothing in the compute pass reads ``rng``.
+    """
+    from ..detection.config import CLASS_NAMES
+
+    camera = scenario.camera()  # roll applied to the finished frames
+    template = background_template(camera, scenario.style())
+    model = capture_model or CaptureModel()
+    shape = (3, camera.image_size, camera.image_size)
+    backgrounds, captures = [], []
+    for _ in poses:
+        backgrounds.append(template.draw(rng))
+        if physical:
+            captures.append(draw_capture(rng, shape, model))
+
+    images = template.render(backgrounds)
+    truths = []
+    for image, pose in zip(images, poses):
+        boxes, labels = place_objects(image, scenario.objects_for(pose), camera)
+        truths.append(GroundTruth(
+            boxes_xywh=np.asarray(boxes, dtype=np.float32).reshape(-1, 4),
+            labels=np.asarray(labels, dtype=np.int64),
+        ))
+
+    if decals is not None:
+        owners, quads = [], []
+        for index, pose in enumerate(poses):
+            pose_quads = _decal_quads(camera, pose, decals.offsets, decals.world_size_m)
+            owners += [index] * len(pose_quads)
+            quads += pose_quads
+        if quads:
+            paste_decals(images, owners, decals.patch_rgb, decals.alpha, np.stack(quads))
+
+    for index, pose in enumerate(poses):
+        # One frame at a time: a blend of all rolled frames at once held
+        # float64 temporaries of the whole stack (DESIGN.md §16).
+        if abs(pose.roll_degrees) > 1e-6:
+            images[index] = rotate_image(images[index], pose.roll_degrees)
+            boxes = [_rotate_box(tuple(b), pose.roll_degrees, scenario.image_size)
+                     for b in truths[index].boxes_xywh]
+            truths[index] = GroundTruth(
+                boxes_xywh=np.asarray(boxes, dtype=np.float32).reshape(-1, 4),
+                labels=truths[index].labels,
+            )
+
+    if physical:
+        images = degrade_frames(images, captures, [p.speed_kmh for p in poses], model)
+
+    target_label = CLASS_NAMES.index(scenario.target_class)
     return [
-        render_frame(scenario, pose, rng, decals=decals, physical=physical,
-                     capture_model=capture_model)
-        for pose in poses
+        RenderedFrame(image=image, truth=truth,
+                      target_box_xywh=_target_box(truth, target_label), pose=pose)
+        for image, truth, pose in zip(images, truths, poses)
     ]
 
 

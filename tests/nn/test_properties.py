@@ -650,6 +650,30 @@ class TestUpsampleConvDifferential:
         assert_within_depth_bound(wt.grad, grad_w, grad_w_mag,
                                   n * h * w + self.FOLD_DEPTH)
 
+    @given(case=upsample_conv_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_shuffle_is_byte_equal_to_transpose_form(self, case):
+        n, c, o, h, w, seed = case
+        x, weight = rand((n, c, h, w), seed), rand((o, c, 3, 3), seed + 1)
+        upstream = rand((n, o, 2 * h, 2 * w), seed + 2)
+
+        def transpose_shuffle(y):
+            return y.reshape(n, o, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(
+                n, o, 2 * h, 2 * w)
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            out = F.upsample_conv2d(xt, Tensor(weight))
+            out.backward(upstream)
+            return out.data, xt.grad
+
+        got, got_grad = run()
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(F, "pixel_shuffle2", transpose_shuffle)
+            want, want_grad = run()
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_grad, want_grad)
+
     def test_rejects_kernels_other_than_3x3(self):
         with pytest.raises(ValueError, match="3×3"):
             F.upsample_conv2d(Tensor(rand((1, 2, 4, 4), 0)),
