@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the detection hot path and emit ``BENCH_hotpath.json``.
 
-Runs a seeded synthetic video through :class:`repro.av.AvPipeline` three
+Runs a seeded synthetic video through :class:`repro.av.AvPipeline` four
 times:
 
 * **per-frame** — the historical reference loop, one ``step()`` (one
@@ -16,19 +16,20 @@ times:
   an *accuracy-vs-speed point*: instead of trace identity it records an
   accuracy budget — per-layer activation error vs the lowered fp graph
   plus end-to-end PWC/CWC deltas vs the fp oracle on the seed
-  challenge — and refuses to report a speedup when the budget is blown.
+  challenge.
 
-The first three traces are asserted behaviourally identical (same
-detections, confirmations and planner actions frame by frame) before any
-number is reported, so no speedup can come from changed semantics. The
-batched, lowered and int8 runs are traced into one :class:`repro.obs.Run`
-(under ``--obs-dir``, else a temporary directory) and each reports the
-:func:`repro.obs.stage_table` of its ``pipeline.run`` span: self time of
-forward / decode / nms / confirm. The JSON report seeds the repo's perf
-trajectory; re-run with ``--check`` in CI to fail on a >20% frames/sec
-regression against the committed report, on the lowered forward stage
-falling under its speedup floor, or on the quantized forward falling
-under its own floor vs the lowered forward of the same invocation.
+The batched, lowered and int8 runs are traced into one
+:class:`repro.obs.Run` (under ``--obs-dir``, else a temporary directory)
+and each reports the :func:`repro.obs.stage_table` of its
+``pipeline.run`` span: self time of forward / decode / nms / confirm.
+
+Gates (:data:`GATES`, judged by :mod:`repro.obs.bench`): on every run the
+batched and lowered traces must equal the per-frame one (same detections,
+confirmations and planner actions frame by frame) and int8 must stay in
+its accuracy budget, or no report is written, so no speedup can come from
+changed semantics. ``--check`` adds batched frames/sec within 20% of the
+committed report, the lowered and int8 forward floors against the same
+run's autodiff and lowered forwards, and the history trend bands.
 
 Usage::
 
@@ -48,7 +49,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 from contextlib import contextmanager
 
@@ -58,25 +58,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.av import AvPipeline  # noqa: E402
 from repro.detection import TinyYolo, reduced_config  # noqa: E402
-from repro.obs import (  # noqa: E402
-    MANIFEST_SCHEMA_VERSION,
-    Run,
-    append_jsonl,
-    build_tree,
-    config_digest,
-    host_info,
-    load_report,
-    load_trace,
-    stage_table,
-    write_report,
-)
 from repro.eval.protocol import run_challenge  # noqa: E402
 from repro.nn.quant import activation_error_stats, calibrate_detector  # noqa: E402
-from repro.obs.history import check_trend  # noqa: E402
+from repro.obs import Run, bench, build_tree, load_trace, stage_table  # noqa: E402
+from repro.obs.bench import Gate  # noqa: E402
 from repro.scene.video import AttackScenario  # noqa: E402
 
 DEFAULT_REPORT = os.path.join(os.path.dirname(__file__), "..", "BENCH_hotpath.json")
-DEFAULT_HISTORY = os.path.join(os.path.dirname(__file__), "..", "BENCH_history.jsonl")
 #: --check fails when batched frames/sec drops below this share of the
 #: committed number.
 REGRESSION_TOLERANCE = 0.20
@@ -92,13 +80,26 @@ LOWERED_FORWARD_FLOOR = 1.3
 QUANT_FORWARD_FLOOR = 1.15
 #: Declared accuracy budget of the quantized path: |PWC(int8) − PWC(fp)|
 #: on the seed challenge must stay within this absolute delta, and the
-#: CWC majority outcome must match. Enforced at report time — a blown
-#: budget refuses to report the speedup at all.
+#: CWC majority outcome must match. A report row: a blown budget writes
+#: no report at all.
 QUANT_PWC_TOLERANCE = 0.05
 #: Frames of the bench video used for the calibration pass.
 QUANT_CALIBRATION_FRAMES = 16
 #: Column heads of the side-by-side stage and node tables.
 EXECUTORS = ("autodiff", "lowered", "int8")
+
+GATES = (
+    Gate("trace_identical", "report", "is", True),
+    Gate("lowered.trace_identical", "report", "is", True),
+    Gate("quant.accuracy.pwc_delta", "report", "<=", QUANT_PWC_TOLERANCE),
+    Gate("quant.accuracy.cwc_match", "report", "is", True),
+    Gate("batched_fps", "check", "committed", REGRESSION_TOLERANCE),
+    Gate("lowered.forward_speedup", "check", ">=", LOWERED_FORWARD_FLOOR),
+    Gate("quant.forward_speedup_vs_lowered", "check", ">=",
+         QUANT_FORWARD_FLOOR),
+    Gate("batched_fps", "check", "trend"),
+    Gate("quant.fps", "check", "trend"),
+)
 
 
 def bench_config(args: argparse.Namespace) -> dict:
@@ -116,22 +117,6 @@ def bench_config(args: argparse.Namespace) -> dict:
         "width_multiplier": args.width,
         "conf_threshold": args.conf_threshold,
         "seed": args.seed,
-    }
-
-
-def bench_manifest(config: dict, run_id: str) -> dict:
-    """Provenance stamp for one benchmark run (DESIGN.md §9).
-
-    Same fields a :class:`repro.obs.Run` manifest leads with — run id,
-    config digest, seeds, host — so `BENCH_hotpath.json` numbers can be
-    attributed and compared across machines and commits.
-    """
-    return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "run_id": run_id,
-        "config_digest": config_digest(config),
-        "seeds": {"video": config["seed"], "detector": config["seed"]},
-        "host": host_info(),
     }
 
 
@@ -203,11 +188,6 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     batched_fps = len(frames) / batched_seconds
 
     identical = traces_equal(reference_traces, batched_traces)
-    if not identical:
-        raise SystemExit(
-            "FATAL: batched pipeline traces diverge from the per-frame "
-            "reference — refusing to report a speedup for different "
-            "semantics")
 
     # Third phase: the same batched run through the lowered executor. The
     # lowered pipeline shares the reference detector's weights (same seed,
@@ -222,11 +202,6 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     lowered_fps = len(frames) / lowered_seconds
 
     lowered_identical = traces_equal(reference_traces, lowered_traces)
-    if not lowered_identical:
-        raise SystemExit(
-            "FATAL: lowered pipeline traces diverge from the per-frame "
-            "reference — the lowering parity oracle failed; refusing to "
-            "report a speedup for different semantics")
 
     # Fourth phase: the int8-quantized plan (DESIGN.md §15). Calibrated on
     # the leading frames of the same video, timed against the *lowered*
@@ -276,17 +251,9 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
                                  precision="int8", calibration=calibration)
     pwc_delta = abs(quant_result.pwc - oracle.pwc)
     cwc_match = bool(quant_result.cwc == oracle.cwc)
-    if pwc_delta > QUANT_PWC_TOLERANCE or not cwc_match:
-        raise SystemExit(
-            f"FATAL: quantized accuracy budget blown — |ΔPWC|={pwc_delta:.4f}"
-            f" (tolerance {QUANT_PWC_TOLERANCE}), CWC match={cwc_match} — "
-            "refusing to report a speedup outside the declared budget")
 
-    config = bench_config(args)
     payload = {
         "benchmark": "av_pipeline_hotpath",
-        "config": config,
-        "manifest": bench_manifest(config, obs.run_id),
         "per_frame_fps": round(per_frame_fps, 2),
         "batched_fps": round(batched_fps, 2),
         "speedup": round(batched_fps / per_frame_fps, 3),
@@ -408,106 +375,7 @@ def print_tables(title: str, tables: list, per_call: bool = False) -> None:
                                        for total in totals))
 
 
-def check_regression(report_path: str, payload: dict) -> int:
-    committed = load_report(report_path)
-    floor = committed["batched_fps"] * (1.0 - REGRESSION_TOLERANCE)
-    current = payload["batched_fps"]
-    print(f"committed batched fps: {committed['batched_fps']:.2f}  "
-          f"current: {current:.2f}  floor (-{REGRESSION_TOLERANCE:.0%}): {floor:.2f}")
-    if current < floor:
-        print("FAIL: hot-path regression exceeds tolerance")
-        return 1
-    print("OK: within regression tolerance")
-    return 0
-
-
-def check_lowered_floor(payload: dict) -> int:
-    """Lowered-forward gate: measured against the *same invocation's*
-    non-lowered forward stage, so the floor holds on any machine."""
-    speedup = payload["lowered"]["forward_speedup"]
-    print(f"lowered forward speedup: {speedup:.2f}x  "
-          f"floor: {LOWERED_FORWARD_FLOOR:.2f}x")
-    if speedup < LOWERED_FORWARD_FLOOR:
-        print("FAIL: lowered forward stage under its speedup floor")
-        return 1
-    print("OK: lowered forward above floor")
-    return 0
-
-
-def check_quant_floor(payload: dict) -> int:
-    """Quantized-forward gate: measured against the *lowered* forward
-    stage of the same invocation, plus the declared accuracy budget
-    (already enforced at report time — re-asserted here so a hand-edited
-    report cannot sneak past the gate)."""
-    quant = payload["quant"]
-    speedup = quant["forward_speedup_vs_lowered"]
-    accuracy = quant["accuracy"]
-    print(f"quant forward speedup vs lowered: {speedup:.2f}x  "
-          f"floor: {QUANT_FORWARD_FLOOR:.2f}x")
-    print(f"quant accuracy: |ΔPWC|={accuracy['pwc_delta']:.4f} "
-          f"(tolerance {accuracy['pwc_tolerance']})  "
-          f"CWC match: {accuracy['cwc_match']}")
-    if speedup < QUANT_FORWARD_FLOOR:
-        print("FAIL: quantized forward under its speedup floor")
-        return 1
-    if (accuracy["pwc_delta"] > accuracy["pwc_tolerance"]
-            or not accuracy["cwc_match"]):
-        print("FAIL: quantized accuracy budget blown")
-        return 1
-    print("OK: quantized forward above floor, accuracy within budget")
-    return 0
-
-
-def check_history_trend(history_path: str, payload: dict) -> int:
-    """Second half of the --check gate: the fresh number against the
-    robust median/MAD trend of the append-only history (a single
-    committed report can itself be a lucky outlier; the trailing window
-    cannot)."""
-    if not history_path or not os.path.exists(history_path):
-        print("trend: no history file — pass")
-        return 0
-    status = 0
-    fields = [("batched_fps", payload["batched_fps"])]
-    if "quant" in payload:  # pre-quant payloads have no int8 phase
-        fields.append(("quant_fps", payload["quant"]["fps"]))
-    for field, value in fields:
-        verdict = check_trend(history_path, "av_pipeline_hotpath",
-                              field, value, direction="higher")
-        print(verdict.describe())
-        if not verdict.ok:
-            status = 1
-    return status
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--frames", type=int, default=48)
-    parser.add_argument("--batch-size", type=int, default=8)
-    parser.add_argument("--input-size", type=int, default=64)
-    parser.add_argument("--width", type=float, default=0.25)
-    parser.add_argument("--conf-threshold", type=float, default=0.001,
-                        help="low threshold so NMS/confirmation see real work")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=DEFAULT_REPORT)
-    parser.add_argument("--history", default=DEFAULT_HISTORY,
-                        help="append-only JSONL perf trajectory "
-                             "(empty string disables)")
-    parser.add_argument("--obs-dir", default=None,
-                        help="keep the repro.obs run (manifest.json + "
-                             "trace.jsonl) the stage tables are read from "
-                             "in this directory (default: a temporary one)")
-    parser.add_argument("--layers", action="store_true",
-                        help="include per-node timing tables of the "
-                             "autodiff, lowered and int8 executors")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the committed report instead "
-                             "of overwriting it; exit 1 on >20%% regression")
-    args = parser.parse_args(argv)
-
-    with tempfile.TemporaryDirectory(prefix="bench_hotpath_") as scratch:
-        with Run(args.obs_dir or scratch, name="bench_hotpath",
-                 config=bench_config(args), seeds={"seed": args.seed}) as obs:
-            payload = run_benchmark(args, obs)
+def print_summary(args: argparse.Namespace, payload: dict) -> None:
     print(f"per-frame: {payload['per_frame_fps']:.2f} fps   "
           f"batched(x{args.batch_size}): {payload['batched_fps']:.2f} fps   "
           f"speedup: {payload['speedup']:.2f}x   "
@@ -534,36 +402,22 @@ def main(argv=None) -> int:
                                     quant["layers"])],
                      per_call=True)
 
-    status = 0
-    if args.check:
-        status = check_regression(args.output, payload)
-        status = max(status, check_lowered_floor(payload))
-        status = max(status, check_quant_floor(payload))
-        status = max(status, check_history_trend(args.history, payload))
-    else:
-        write_report(args.output, payload)
-        print(f"wrote {os.path.abspath(args.output)}")
-    if args.history:
-        # The append-only trajectory: one line per invocation (including
-        # --check gates), so the fps history is machine-readable instead
-        # of a single overwritten file.
-        append_jsonl(args.history, {
-            "unix_time": time.time(),
-            "mode": "check" if args.check else "write",
-            "status": status,
-            "benchmark": "av_pipeline_hotpath",
-            "run_id": payload["manifest"]["run_id"],
-            "config_digest": payload["manifest"]["config_digest"],
-            "per_frame_fps": payload["per_frame_fps"],
-            "batched_fps": payload["batched_fps"],
-            "speedup": payload["speedup"],
-            "lowered_fps": payload["lowered"]["fps"],
-            "lowered_forward_speedup": payload["lowered"]["forward_speedup"],
-            "quant_fps": payload["quant"]["fps"],
-            "quant_forward_speedup": payload["quant"]["forward_speedup_vs_lowered"],
-            "quant_pwc_delta": payload["quant"]["accuracy"]["pwc_delta"],
-        })
-    return status
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--frames", type=int, default=48)
+    parser.add_argument("--batch-size", type=int, default=8)
+    parser.add_argument("--input-size", type=int, default=64)
+    parser.add_argument("--width", type=float, default=0.25)
+    parser.add_argument("--conf-threshold", type=float, default=0.001,
+                        help="low threshold so NMS/confirmation see real work")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--layers", action="store_true",
+                        help="include per-node timing tables of the "
+                             "autodiff, lowered and int8 executors")
+    args = bench.parse_args(parser, argv, DEFAULT_REPORT)
+    return bench.main(args, name="bench_hotpath", config=bench_config,
+                      measure=run_benchmark, show=print_summary, gates=GATES)
 
 
 if __name__ == "__main__":

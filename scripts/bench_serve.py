@@ -12,20 +12,24 @@ to four phases:
   due time. Co-batchers rarely arrive here, so this is the phase where
   the batch window costs latency.
 * **overload** — an open-loop burst of several times ``queue_capacity``
-  into a deliberately tiny server; asserts the robustness contract:
+  into a deliberately tiny server: the robustness contract is that
   queue depth stays ≤ capacity (bounded by construction) and the
   overflow is *shed* with explicit counts, never queued unboundedly.
 * **chaos** (``--chaos``) — the steady workload with a worker SIGKILL'd
-  mid-run; asserts every admitted request resolves exactly once and the
-  pool respawned the dead slot.
+  mid-run: every admitted request resolves exactly once and the pool
+  respawns the dead slot.
 
 Every phase that serves records p50/p99 and the per-stage split of its
 ``ok`` responses (admit, queue, pool, forward, postprocess, delivery).
+The steady, open-loop and chaos phases audit their responses: a request
+dropped, duplicated, never answered or not ``ok`` aborts the run.
 
-Re-run with ``--check`` in CI to gate a change against the committed
-report (generous tolerance: serving numbers on a loaded 1-core box are
-noisier than the in-process hot path), and on a ratio taken within the
-run: open-loop p50 over the in-process batch-1 detect time.
+Gates (:data:`GATES`, judged by :mod:`repro.obs.bench`): on every run the
+overload depth bound, a non-zero shed and, with ``--chaos``, a respawn.
+``--check`` adds fps and p99 against the committed report (generous
+tolerance: serving numbers on a loaded 1-core box are noisier than the
+in-process hot path), their history trend bands, and a ratio taken
+within the run: open-loop p50 over the in-process batch-1 detect time.
 
 Usage::
 
@@ -43,28 +47,18 @@ import signal
 import sys
 import threading
 import time
-import uuid
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.detection import TinyYolo, batched_detections, reduced_config  # noqa: E402
-from repro.obs import (  # noqa: E402
-    MANIFEST_SCHEMA_VERSION,
-    Run,
-    append_jsonl,
-    config_digest,
-    host_info,
-    load_report,
-    write_report,
-)
-from repro.obs.history import check_trend  # noqa: E402
+from repro.obs import Run, bench  # noqa: E402
+from repro.obs.bench import Gate  # noqa: E402
 from repro.obs.live import LiveConfig  # noqa: E402
 from repro.serve import STAGES, DetectionServer, RequestStatus, ServeConfig  # noqa: E402
 
 DEFAULT_REPORT = os.path.join(os.path.dirname(__file__), "..", "BENCH_serve.json")
-DEFAULT_HISTORY = os.path.join(os.path.dirname(__file__), "..", "BENCH_history.jsonl")
 #: --check tolerance: sustained fps may drop (and p99 latency may grow)
 #: by this fraction before the gate fails. Serving involves process
 #: scheduling, so the band is wider than bench_hotpath's 20%.
@@ -79,8 +73,28 @@ OPEN_LOOP_SECONDS = 2.0
 #: lone frame waits out the 4 ms window) read 4.34-7.44. The ratio
 #: separates the two only while the window is large against a detect.
 OPEN_LOOP_RATIO_BOUND = 4.0
-#: In-process batch-1 detects timed for the ratio's base (the fastest).
+#: In-process batch-1 detects per timed set; the ratio's base is the
+#: fastest of a set before and a set after the open-loop phase.
 DETECT_REPEATS = 50
+#: Queue capacity of the overload phase's deliberately tiny server.
+OVERLOAD_CAPACITY = 8
+#: Live-telemetry SLO rules unless ``--slo`` replaces them.
+DEFAULT_SLO = ("serve.latency_p99_ms < 500", "serve.shed_rate < 0.05",
+               "serve.respawns_per_min < 2")
+
+GATES = (
+    Gate("phases.overload.max_queue_depth", "report", "<=",
+         OVERLOAD_CAPACITY),
+    Gate("phases.overload.shed", "report", ">=", 1),
+    Gate("phases.chaos.respawns", "report", ">=", 1,
+         skip=lambda args, _: None if args.chaos else "binds only with --chaos"),
+    Gate("sustained_fps", "check", "committed", REGRESSION_TOLERANCE),
+    Gate("latency_p99_ms", "check", "committed", REGRESSION_TOLERANCE,
+         better="lower"),
+    Gate("open_loop_p50_over_detect", "check", "<=", OPEN_LOOP_RATIO_BOUND),
+    Gate("sustained_fps", "check", "trend"),
+    Gate("latency_p99_ms", "check", "trend", better="lower"),
+)
 
 
 def bench_config(args: argparse.Namespace) -> dict:
@@ -97,17 +111,6 @@ def bench_config(args: argparse.Namespace) -> dict:
         "chaos": bool(args.chaos),
         "lowered": True,
         "seed": args.seed,
-    }
-
-
-def bench_manifest(config: dict, run_id: str) -> dict:
-    """Provenance stamp for one benchmark run (DESIGN.md §9)."""
-    return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "run_id": run_id,
-        "config_digest": config_digest(config),
-        "seeds": {"frames": config["seed"], "detector": config["seed"]},
-        "host": host_info(),
     }
 
 
@@ -175,7 +178,9 @@ def detect_batch1_ms(args: argparse.Namespace, detector: TinyYolo) -> float:
     """Ms of one in-process batch-1 detect on the lowered plan — the work
     one open-loop frame costs a worker, with no serving. The fastest of
     ``DETECT_REPEATS``: on a shared 2-vCPU host their median moved
-    between 1.2 and 2.6 ms from run to run, their minimum by a tenth."""
+    between 1.2 and 2.6 ms from run to run, their minimum by a tenth —
+    except a first set in a fresh process, which now and then read 7 ms
+    while the next sets read 1.1–1.3 ms."""
     plan = detector.lower()
     frame = make_frames(args, 1, seed=args.seed + 99)
     for _ in range(5):
@@ -265,14 +270,12 @@ def run_closed_loop(args: argparse.Namespace, server: DetectionServer,
     }
 
 
-def run_open_loop(args: argparse.Namespace, server: DetectionServer,
-                  detect_ms: float) -> dict:
+def run_open_loop(args: argparse.Namespace, server: DetectionServer) -> dict:
     """Cameras sending on a fixed schedule: ``OPEN_LOOP_CAMERAS``
     sessions at ``OPEN_LOOP_FPS`` each, offset by an equal share of the
     frame period, for ``OPEN_LOOP_SECONDS``. Each latency runs from the
     frame's due time to its answer, so a stall also charges the frames
-    due during it. ``detect_ms`` (the in-process batch-1 detect time of
-    the same run) is the base of the phase's gated ratio."""
+    due during it."""
     period = 1.0 / OPEN_LOOP_FPS
     per_camera = int(round(OPEN_LOOP_SECONDS * OPEN_LOOP_FPS))
     frames = make_frames(args, 8, seed=args.seed + 4242)
@@ -313,19 +316,16 @@ def run_open_loop(args: argparse.Namespace, server: DetectionServer,
             f"got {statuses}")
     latencies = [answered_at[index] - due
                  for index, (due, _) in enumerate(schedule)]
-    p50_ms = 1e3 * float(np.percentile(latencies, 50))
     return {
         "cameras": OPEN_LOOP_CAMERAS,
         "fps_per_camera": OPEN_LOOP_FPS,
         "requests": len(schedule),
         "statuses": statuses,
-        "latency_p50_ms": round(p50_ms, 2),
+        "latency_p50_ms": round(1e3 * float(np.percentile(latencies, 50)), 2),
         "latency_p99_ms": round(1e3 * float(np.percentile(latencies, 99)), 2),
         "generator_late_p99_ms": round(
             1e3 * float(np.percentile(late, 99)), 3),
         "stages_ms": stage_split(responses),
-        "detect_batch1_ms": round(detect_ms, 3),
-        "p50_over_detect": round(p50_ms / detect_ms, 3),
     }
 
 
@@ -335,12 +335,11 @@ def run_overload(args: argparse.Namespace) -> dict:
     Runs in-process (``workers=0``) so the drain rate — and therefore a
     guaranteed overflow — doesn't depend on pool warm-up timing.
     """
-    capacity = 8
     detector = build_detector(args)
-    config = serve_config(args, workers=0, queue_capacity=capacity,
+    config = serve_config(args, workers=0, queue_capacity=OVERLOAD_CAPACITY,
                           batch_window_s=0.05, max_sessions=8)
     server = DetectionServer(detector, config)
-    burst = capacity * 8
+    burst = OVERLOAD_CAPACITY * 8
     try:
         session = server.open_session("burst")
         frames = make_frames(args, burst, seed=args.seed + 77)
@@ -354,17 +353,9 @@ def run_overload(args: argparse.Namespace) -> dict:
         statuses[resp.status] = statuses.get(resp.status, 0) + 1
     if len(responses) != burst:
         raise SystemExit("FATAL: overload phase lost responses")
-    if snap["max_queue_depth"] > capacity:
-        raise SystemExit(
-            f"FATAL: queue depth {snap['max_queue_depth']} exceeded "
-            f"capacity {capacity} — admission bound violated")
-    if snap["shed"] == 0:
-        raise SystemExit(
-            "FATAL: overload burst shed nothing — the phase is not "
-            "actually overloading the server")
     return {
         "submitted": burst,
-        "queue_capacity": capacity,
+        "queue_capacity": OVERLOAD_CAPACITY,
         "statuses": statuses,
         "shed": snap["shed"],
         "accepted": snap["accepted"],
@@ -382,23 +373,31 @@ def warm_up(args: argparse.Namespace, server: DetectionServer) -> None:
     server.close_session(session)
 
 
-def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
+def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     detector = build_detector(args)
     detect_ms = detect_batch1_ms(args, detector)
 
+    # The server records into the run only when --obs-dir keeps it.
     live = None
-    if obs is not None and args.live:
+    if args.live:
         live = LiveConfig(interval_s=args.live_interval,
                           rules=tuple(args.slo))
-    server = DetectionServer(detector, serve_config(args), obs=obs,
-                             live=live)
+    server = DetectionServer(detector, serve_config(args),
+                             obs=obs if args.obs_dir else None, live=live)
     try:
         warm_up(args, server)
         steady = run_closed_loop(args, server)
         steady_snap = server.snapshot()
-        open_loop = run_open_loop(args, server, detect_ms)
+        open_loop = run_open_loop(args, server)
     finally:
         server.close()
+    # The open-loop ratio's base: a cold first set of detects can read
+    # several times slower than the rest, so take the fastest of a set
+    # before and a set after the open loop.
+    detect_ms = min(detect_ms, detect_batch1_ms(args, detector))
+    open_loop["detect_batch1_ms"] = round(detect_ms, 3)
+    open_loop["p50_over_detect"] = round(
+        open_loop["latency_p50_ms"] / detect_ms, 3)
     steady["mean_batch_occupancy"] = round(
         steady_snap["mean_batch_occupancy"], 2)
     steady["mode"] = steady_snap["mode"]
@@ -417,21 +416,13 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
         finally:
             server.close()
         pool = chaos_snap.get("pool") or {}
-        if not pool.get("respawns"):
-            raise SystemExit(
-                "FATAL: chaos phase killed a worker but the pool reports "
-                "no respawn")
         chaos["worker_deaths"] = pool.get("worker_deaths", 0)
         chaos["respawns"] = pool.get("respawns", 0)
         chaos["degraded_batches"] = chaos_snap["degraded_batches"]
         phases["chaos"] = chaos
 
-    config = bench_config(args)
-    run_id = obs.run_id if obs is not None else f"bench-{uuid.uuid4().hex[:12]}"
     return {
         "benchmark": "detection_serve",
-        "config": config,
-        "manifest": bench_manifest(config, run_id),
         # Top-level mirrors of the steady phase: what --check gates on.
         "sustained_fps": steady["sustained_fps"],
         "latency_p50_ms": steady["latency_p50_ms"],
@@ -439,64 +430,6 @@ def run_benchmark(args: argparse.Namespace, obs=None) -> dict:
         "open_loop_p50_over_detect": open_loop["p50_over_detect"],
         "phases": phases,
     }
-
-
-def check_regression(report_path: str, payload: dict) -> int:
-    committed = load_report(report_path)
-    fps_floor = committed["sustained_fps"] * (1.0 - REGRESSION_TOLERANCE)
-    p99_ceiling = committed["latency_p99_ms"] * (1.0 + REGRESSION_TOLERANCE)
-    fps = payload["sustained_fps"]
-    p99 = payload["latency_p99_ms"]
-    print(f"committed fps: {committed['sustained_fps']:.2f}  current: "
-          f"{fps:.2f}  floor (-{REGRESSION_TOLERANCE:.0%}): {fps_floor:.2f}")
-    print(f"committed p99: {committed['latency_p99_ms']:.2f} ms  current: "
-          f"{p99:.2f} ms  ceiling (+{REGRESSION_TOLERANCE:.0%}): "
-          f"{p99_ceiling:.2f} ms")
-    status = 0
-    if fps < fps_floor:
-        print("FAIL: sustained fps regression exceeds tolerance")
-        status = 1
-    if p99 > p99_ceiling:
-        print("FAIL: p99 latency regression exceeds tolerance")
-        status = 1
-    if status == 0:
-        print("OK: within regression tolerance")
-    return status
-
-
-def check_open_loop(open_loop: dict) -> int:
-    """Third part of the --check gate, taken within one run: open-loop
-    p50 over the in-process batch-1 detect time. A lone frame on an idle
-    server should cost about one detect plus the hand-off, not a batch
-    window on top."""
-    ratio = open_loop["p50_over_detect"]
-    print(f"open-loop p50 {open_loop['latency_p50_ms']:.2f} ms / in-process "
-          f"batch-1 detect {open_loop['detect_batch1_ms']:.2f} ms = "
-          f"{ratio:.2f}  bound: {OPEN_LOOP_RATIO_BOUND:.2f}")
-    if ratio > OPEN_LOOP_RATIO_BOUND:
-        print("FAIL: open-loop latency over its bound")
-        return 1
-    print("OK: open-loop latency within its bound")
-    return 0
-
-
-def check_history_trend(history_path: str, payload: dict) -> int:
-    """Second half of the --check gate: both steady-state headline
-    numbers against the robust median/MAD band of the append-only
-    history — throughput must not fall below it, tail latency must not
-    climb above it."""
-    if not history_path or not os.path.exists(history_path):
-        print("trend: no history file — pass")
-        return 0
-    status = 0
-    for metric, direction in (("sustained_fps", "higher"),
-                              ("latency_p99_ms", "lower")):
-        verdict = check_trend(history_path, "detection_serve", metric,
-                              payload[metric], direction=direction)
-        print(verdict.describe())
-        if not verdict.ok:
-            status = 1
-    return status
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -513,34 +446,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--chaos", action="store_true",
                         help="also run the worker-SIGKILL phase")
-    parser.add_argument("--output", default=DEFAULT_REPORT)
-    parser.add_argument("--history", default=DEFAULT_HISTORY,
-                        help="append-only JSONL perf trajectory "
-                             "(empty string disables)")
-    parser.add_argument("--obs-dir", default=None,
-                        help="also record a repro.obs run under this "
-                             "directory")
-    parser.add_argument("--live", action="store_true",
-                        help="attach live telemetry (requires --obs-dir): "
-                             "ring-buffer series, SLO alerts, live.json — "
-                             "watch with scripts/obs_dashboard.py --follow")
-    parser.add_argument("--live-interval", type=float, default=0.25,
-                        help="live sampler tick period (seconds)")
-    parser.add_argument("--slo", action="append", default=None,
-                        help="SLO rule (repeatable; replaces the default "
-                             "set), e.g. 'serve.latency_p99_ms < 120'")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the committed report instead "
-                             "of overwriting it; exit 1 past tolerance")
-    args = parser.parse_args(argv)
-    if args.slo is None:
-        args.slo = ["serve.latency_p99_ms < 500",
-                    "serve.shed_rate < 0.05",
-                    "serve.respawns_per_min < 2"]
-    if args.live and not args.obs_dir:
-        parser.error("--live requires --obs-dir (telemetry files land in "
-                     "the run directory)")
-    return args
+    return bench.parse_args(parser, argv, DEFAULT_REPORT, slo=DEFAULT_SLO)
 
 
 def print_stages(stages: dict) -> None:
@@ -550,16 +456,7 @@ def print_stages(stages: dict) -> None:
             for name, entry in stages.items()))
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-
-    if args.obs_dir:
-        with Run(args.obs_dir, name="bench_serve",
-                 config=bench_config(args), seeds={"seed": args.seed}) as obs:
-            payload = run_benchmark(args, obs=obs)
-    else:
-        payload = run_benchmark(args)
-
+def print_summary(args: argparse.Namespace, payload: dict) -> None:
     steady = payload["phases"]["steady"]
     print(f"steady: {steady['requests']} requests over {args.clients} "
           f"clients -> {steady['sustained_fps']:.2f} fps   "
@@ -572,7 +469,8 @@ def main(argv=None) -> int:
           f"{open_loop['cameras']} cameras at {open_loop['fps_per_camera']:g} "
           f"fps -> p50 {open_loop['latency_p50_ms']:.1f} ms   "
           f"p99 {open_loop['latency_p99_ms']:.1f} ms   (batch-1 detect "
-          f"{open_loop['detect_batch1_ms']:.2f} ms in-process)")
+          f"{open_loop['detect_batch1_ms']:.2f} ms in-process, ratio "
+          f"{open_loop['p50_over_detect']:.2f})")
     print_stages(open_loop["stages_ms"])
     overload = payload["phases"]["overload"]
     print(f"overload: {overload['submitted']} burst into capacity "
@@ -586,28 +484,11 @@ def main(argv=None) -> int:
               f"p99 {chaos['latency_p99_ms']:.1f} ms")
         print_stages(chaos["stages_ms"])
 
-    status = 0
-    if args.check:
-        status = check_regression(args.output, payload)
-        status = max(status, check_history_trend(args.history, payload))
-        status = max(status, check_open_loop(open_loop))
-    else:
-        write_report(args.output, payload)
-        print(f"wrote {os.path.abspath(args.output)}")
-    if args.history:
-        append_jsonl(args.history, {
-            "unix_time": time.time(),
-            "mode": "check" if args.check else "write",
-            "status": status,
-            "benchmark": "detection_serve",
-            "run_id": payload["manifest"]["run_id"],
-            "config_digest": payload["manifest"]["config_digest"],
-            "sustained_fps": payload["sustained_fps"],
-            "latency_p50_ms": payload["latency_p50_ms"],
-            "latency_p99_ms": payload["latency_p99_ms"],
-            "open_loop_p50_over_detect": payload["open_loop_p50_over_detect"],
-        })
-    return status
+
+def main(argv=None) -> int:
+    return bench.main(parse_args(argv), name="bench_serve",
+                      config=bench_config, measure=run_benchmark,
+                      show=print_summary, gates=GATES)
 
 
 if __name__ == "__main__":

@@ -9,27 +9,26 @@ Runs the decal-attack trainer twice on a reduced profile:
   over a persistent spawned worker pool with shared-memory parameter
   broadcast and fixed-tree gradient reduction (DESIGN.md §10).
 
-Two correctness gates run before any number is reported, so a speedup can
-never come from changed semantics:
+Gates (:data:`GATES`, judged by :mod:`repro.obs.bench`). Two correctness
+rows bind on every run, so no number is reported for changed semantics:
 
 * **bit-identity** — the serial and parallel final patches must be
-  byte-equal (the engine's determinism contract); always enforced;
+  byte-equal (the engine's determinism contract);
 * **resume parity** — a parallel run is crashed mid-loop, resumed from its
   checkpoint, and must still reproduce the uninterrupted patch byte for
-  byte (the PR 1 fault-tolerance contract under ``workers > 0``).
+  byte (the fault-tolerance contract under ``workers > 0``); off with
+  ``--skip-resume-gate``.
+
+The ≥1.5× speedup target is a parallel target that only holds where
+there are cores to run on, so its row binds only for ``--workers`` ≥ 2
+on a machine with ``os.cpu_count() >= workers`` (``--workers 0`` times
+serial against serial). ``--check`` adds parallel steps/sec within 20%
+of the committed report and its history trend band.
 
 The parallel run is traced into a :class:`repro.obs.Run` (under
 ``--obs-dir``, else a temporary directory), and its
 :func:`repro.obs.stage_table` reports where the time went: self time of
 every span, engine stages and pool start-up included.
-
-The ≥1.5× speedup target is a parallel target that only holds where
-there are cores to run on, so the throughput gate is enforced only for
-``--workers`` ≥ 2 on a machine with ``os.cpu_count() >= workers``
-(``--workers 0`` times serial against serial); otherwise the numbers are
-still reported and the identity gates still bind. Re-run with
-``--check`` in CI to fail on a >20% parallel steps/sec regression
-against the committed report.
 
 Usage::
 
@@ -54,30 +53,38 @@ from repro.attack.config import AttackConfig  # noqa: E402
 from repro.attack.trainer import train_patch_attack  # noqa: E402
 from repro.detection.config import reduced_config  # noqa: E402
 from repro.detection.model import TinyYolo  # noqa: E402
-from repro.obs import (  # noqa: E402
-    MANIFEST_SCHEMA_VERSION,
-    Run,
-    append_jsonl,
-    config_digest,
-    host_info,
-    load_report,
-    load_trace,
-    stage_table,
-    write_report,
-)
-from repro.obs.history import check_trend  # noqa: E402
+from repro.obs import Run, bench, load_trace, stage_table  # noqa: E402
+from repro.obs.bench import Gate  # noqa: E402
 from repro.obs.live import LiveConfig, TrainTelemetry  # noqa: E402
 from repro.runtime import RuntimeConfig  # noqa: E402
 from repro.scene.video import AttackScenario  # noqa: E402
 
 DEFAULT_REPORT = os.path.join(os.path.dirname(__file__), "..", "BENCH_train.json")
-DEFAULT_HISTORY = os.path.join(os.path.dirname(__file__), "..", "BENCH_history.jsonl")
 #: --check fails when parallel steps/sec drops below this share of the
 #: committed number.
 REGRESSION_TOLERANCE = 0.20
 #: Throughput target of a parallel run — enforced only for two or more
 #: workers, on a machine with at least that many cores.
 SPEEDUP_TARGET = 1.5
+#: Live-telemetry SLO rules unless ``--slo`` replaces them. Stall
+#: detection is deliberately generous (0.05 steps/s) so slow shared
+#: runners don't alert on healthy-but-leisurely training.
+DEFAULT_SLO = ("train.steps_per_s > 0.05 for_ticks 3",
+               "train.grad_norm < 1e3",
+               "train.checkpoint_age_s < 300")
+
+GATES = (
+    Gate("bit_identical", "report", "is", True),
+    Gate("resume_parity", "report", "is", True,
+         skip=lambda args, _: ("--skip-resume-gate"
+                               if args.skip_resume_gate else None)),
+    Gate("speedup", "report", ">=", SPEEDUP_TARGET,
+         skip=lambda _, payload: (
+             None if payload["speedup_gate"]["enforced"]
+             else "binds only for 2 <= workers <= CPUs")),
+    Gate("parallel_steps_per_sec", "check", "committed", REGRESSION_TOLERANCE),
+    Gate("parallel_steps_per_sec", "check", "trend"),
+)
 
 
 def bench_config(args: argparse.Namespace) -> dict:
@@ -95,17 +102,6 @@ def bench_config(args: argparse.Namespace) -> dict:
         "width_multiplier": args.width,
         "image_size": args.image_size,
         "seed": args.seed,
-    }
-
-
-def bench_manifest(config: dict, run_id: str) -> dict:
-    """Provenance stamp for one benchmark run (DESIGN.md §9)."""
-    return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "run_id": run_id,
-        "config_digest": config_digest(config),
-        "seeds": {"attack": config["seed"], "detector": config["seed"]},
-        "host": host_info(),
     }
 
 
@@ -191,7 +187,7 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
 
     # Tracing and live train telemetry ride on the *parallel* timed run
     # only — the serial oracle stays uninstrumented, so the bit-identity
-    # gate below additionally proves neither perturbs training numerics.
+    # row additionally proves neither perturbs training numerics.
     live = None
     if args.live:
         live = TrainTelemetry(
@@ -208,36 +204,17 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
             live.stop()
 
     identical = bool(np.array_equal(serial_result.patch, parallel_result.patch))
-    if not identical:
-        raise SystemExit(
-            "FATAL: parallel final patch diverges from the workers=0 oracle "
-            "— refusing to report a speedup for different numerics")
-
-    if args.skip_resume_gate:
-        resume_ok = None
-    else:
-        resume_ok = resume_parity(args, parallel_result.patch)
-        if not resume_ok:
-            raise SystemExit(
-                "FATAL: checkpoint/resume under workers>0 does not reproduce "
-                "the uninterrupted run byte for byte")
+    resume_ok = (None if args.skip_resume_gate
+                 else resume_parity(args, parallel_result.patch))
 
     serial_sps = args.steps / serial_seconds
     parallel_sps = args.steps / parallel_seconds
     speedup = parallel_sps / serial_sps
     cpus = os.cpu_count() or 1
-    speedup_enforced = 2 <= args.workers <= cpus
-    if speedup_enforced and speedup < SPEEDUP_TARGET:
-        raise SystemExit(
-            f"FATAL: {speedup:.2f}x at {args.workers} workers on {cpus} CPUs "
-            f"is below the {SPEEDUP_TARGET}x target")
 
     obs.tracer.flush()
-    config = bench_config(args)
     return {
         "benchmark": "parallel_train_engine",
-        "config": config,
-        "manifest": bench_manifest(config, obs.run_id),
         "serial_seconds": round(serial_seconds, 2),
         "parallel_seconds": round(parallel_seconds, 2),
         "serial_steps_per_sec": round(serial_sps, 4),
@@ -246,7 +223,7 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
         "speedup_gate": {
             "target": SPEEDUP_TARGET,
             "cpus": cpus,
-            "enforced": speedup_enforced,
+            "enforced": 2 <= args.workers <= cpus,
         },
         "bit_identical": identical,
         "resume_parity": resume_ok,
@@ -260,88 +237,7 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     }
 
 
-def check_regression(report_path: str, payload: dict) -> int:
-    committed = load_report(report_path)
-    floor = committed["parallel_steps_per_sec"] * (1.0 - REGRESSION_TOLERANCE)
-    current = payload["parallel_steps_per_sec"]
-    print(f"committed parallel steps/sec: "
-          f"{committed['parallel_steps_per_sec']:.4f}  current: {current:.4f}  "
-          f"floor (-{REGRESSION_TOLERANCE:.0%}): {floor:.4f}")
-    if current < floor:
-        print("FAIL: training-engine regression exceeds tolerance")
-        return 1
-    print("OK: within regression tolerance")
-    return 0
-
-
-def check_history_trend(history_path: str, payload: dict) -> int:
-    """Second half of the --check gate: judge the fresh parallel
-    throughput against the robust median/MAD band of the append-only
-    history (insufficient history passes — a young trend cannot veto)."""
-    if not history_path or not os.path.exists(history_path):
-        print("trend: no history file — pass")
-        return 0
-    verdict = check_trend(history_path, "parallel_train_engine",
-                          "parallel_steps_per_sec",
-                          payload["parallel_steps_per_sec"],
-                          direction="higher")
-    print(verdict.describe())
-    return 0 if verdict.ok else 1
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--steps", type=int, default=20)
-    parser.add_argument("--warmup-steps", type=int, default=2)
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--batch-frames", type=int, default=6)
-    parser.add_argument("--frame-pool", type=int, default=12)
-    parser.add_argument("--k", type=int, default=20)
-    parser.add_argument("--n-patches", type=int, default=2)
-    parser.add_argument("--gan-batch", type=int, default=4)
-    parser.add_argument("--input-size", type=int, default=64)
-    parser.add_argument("--width", type=float, default=0.25)
-    parser.add_argument("--image-size", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=DEFAULT_REPORT)
-    parser.add_argument("--history", default=DEFAULT_HISTORY,
-                        help="append-only JSONL perf trajectory "
-                             "(empty string disables)")
-    parser.add_argument("--obs-dir", default=None,
-                        help="keep the repro.obs run (manifest.json + "
-                             "trace.jsonl) the stage table is read from "
-                             "in this directory (default: a temporary one)")
-    parser.add_argument("--skip-resume-gate", action="store_true",
-                        help="skip the crash/resume parity run (the two "
-                             "timed runs and the bit-identity gate still run)")
-    parser.add_argument("--live", action="store_true",
-                        help="attach live train telemetry to the parallel "
-                             "run (requires --obs-dir): ring-buffer series, "
-                             "SLO alerts, train_live.json — watch with "
-                             "scripts/obs_dashboard.py --view train --follow")
-    parser.add_argument("--live-interval", type=float, default=0.25,
-                        help="live sampler tick period (seconds)")
-    parser.add_argument("--slo", action="append", default=None,
-                        help="SLO rule (repeatable; replaces the default "
-                             "set), e.g. 'train.steps_per_s > 0.5 for_ticks 3'")
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the committed report instead "
-                             "of overwriting it; exit 1 on >20%% regression")
-    args = parser.parse_args(argv)
-    if args.slo is None:
-        # Stall detection is deliberately generous (0.05 steps/s) so slow
-        # shared runners don't alert on healthy-but-leisurely training.
-        args.slo = ["train.steps_per_s > 0.05 for_ticks 3",
-                    "train.grad_norm < 1e3",
-                    "train.checkpoint_age_s < 300"]
-    if args.live and not args.obs_dir:
-        parser.error("--live requires --obs-dir (telemetry files land in "
-                     "the run directory)")
-
-    with tempfile.TemporaryDirectory(prefix="bench_train_") as scratch:
-        with Run(args.obs_dir or scratch, name="bench_train",
-                 config=bench_config(args), seeds={"seed": args.seed}) as obs:
-            payload = run_benchmark(args, obs)
+def print_summary(args: argparse.Namespace, payload: dict) -> None:
     gate = payload["speedup_gate"]
     print(f"serial(workers=0): {payload['serial_steps_per_sec']:.4f} steps/s   "
           f"parallel(x{args.workers}): "
@@ -360,26 +256,27 @@ def main(argv=None) -> int:
         print(f"  {name:>24}: {stage['self_s']*1e3:8.1f} ms  "
               f"({stage['share']:5.1%})  {stage['calls']} calls")
 
-    status = 0
-    if args.check:
-        status = check_regression(args.output, payload)
-        status = max(status, check_history_trend(args.history, payload))
-    else:
-        write_report(args.output, payload)
-        print(f"wrote {os.path.abspath(args.output)}")
-    if args.history:
-        append_jsonl(args.history, {
-            "unix_time": time.time(),
-            "mode": "check" if args.check else "write",
-            "status": status,
-            "benchmark": "parallel_train_engine",
-            "run_id": payload["manifest"]["run_id"],
-            "config_digest": payload["manifest"]["config_digest"],
-            "serial_steps_per_sec": payload["serial_steps_per_sec"],
-            "parallel_steps_per_sec": payload["parallel_steps_per_sec"],
-            "speedup": payload["speedup"],
-        })
-    return status
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--steps", type=int, default=20)
+    parser.add_argument("--warmup-steps", type=int, default=2)
+    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--batch-frames", type=int, default=6)
+    parser.add_argument("--frame-pool", type=int, default=12)
+    parser.add_argument("--k", type=int, default=20)
+    parser.add_argument("--n-patches", type=int, default=2)
+    parser.add_argument("--gan-batch", type=int, default=4)
+    parser.add_argument("--input-size", type=int, default=64)
+    parser.add_argument("--width", type=float, default=0.25)
+    parser.add_argument("--image-size", type=int, default=64)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--skip-resume-gate", action="store_true",
+                        help="skip the crash/resume parity run (the two "
+                             "timed runs and the bit-identity gate still run)")
+    args = bench.parse_args(parser, argv, DEFAULT_REPORT, slo=DEFAULT_SLO)
+    return bench.main(args, name="bench_train", config=bench_config,
+                      measure=run_benchmark, show=print_summary, gates=GATES)
 
 
 if __name__ == "__main__":

@@ -1,50 +1,88 @@
-"""`BENCH_history.jsonl` trend analysis: load, summarize, detect regressions.
+"""`BENCH_history.jsonl`: the one writer, and trend analysis over it.
 
-Every bench script appends one manifest-stamped line per invocation to the
-append-only history file (PR 3), and since PR 6 those appends are
-fsync-durable — but nothing ever *read* the trajectory back. This module
-is the reader: a tolerant loader, per-benchmark trend summaries for the
-dashboard, and a robust regression detector the ``bench_* --check`` gates
-call in addition to their single-number committed-report comparison.
+Every bench run that passes its report rows appends one manifest-stamped
+line through :func:`append_history` (the bench harness,
+:mod:`repro.obs.bench`, is its caller), so the line format lives here
+beside its reader: a tolerant
+loader, per-benchmark trend summaries for the dashboard, and the robust
+regression detector behind the harness's ``trend`` gate rows.
 
 The detector is deliberately robust statistics, not a mean/σ band: bench
 numbers on shared CI boxes have heavy-tailed noise (one loaded run would
-poison a mean), so the baseline is the **median** of the trailing window
-and the band is scaled **MAD** (median absolute deviation, ×1.4826 to be
-σ-consistent under normality) with a relative floor — a window of
-identical values must not produce a zero-width band that fails on the
-first rounding wobble. With fewer than ``min_points`` trailing samples
-the verdict is ``"insufficient"`` and the gate passes: a young history
-cannot veto a change.
+poison a mean), so the baseline is the **median** of the trailing
+:data:`WINDOW` and the band is scaled **MAD** (median absolute deviation,
+×1.4826 to be σ-consistent under normality) with a relative floor — a
+window of identical values must not produce a zero-width band that fails
+on the first rounding wobble. A trend compares like with like: only lines
+of the same benchmark *and* config digest count, and with fewer than
+:data:`MIN_POINTS` of them the verdict is ``"insufficient"``, which the
+harness reports as a skip: a young history cannot judge a change.
 
-Loader contract (satellite fix): files written before the fsync-durable
-append can end in a torn or non-JSON line; :func:`load_history` *skips
-and counts* such lines instead of raising, so one corrupt byte never
-bricks every ``--check`` gate downstream.
+Loader contract: files written before the fsync-durable append can end in
+a torn or non-JSON line; :func:`load_history` *skips and counts* such
+lines instead of raising, so one corrupt byte never bricks every
+``--check`` gate downstream.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .run import append_jsonl
+
 __all__ = ["HistoryLoadResult", "TrendVerdict", "load_history",
            "metric_series", "detect_regression", "check_trend",
-           "trend_summary"]
+           "trend_summary", "append_history", "field_value"]
 
 #: σ-consistency constant for MAD under a normal distribution.
 MAD_SCALE = 1.4826
-#: Default band half-width in scaled MADs.
-DEFAULT_N_MADS = 4.0
+#: Band half-width in scaled MADs.
+N_MADS = 4.0
 #: Relative floor on the band half-width (fraction of |median|) so an
 #: all-identical window still tolerates small wobble.
-DEFAULT_REL_FLOOR = 0.10
-#: Default trailing-window length and the minimum points to judge at all.
-DEFAULT_WINDOW = 8
-DEFAULT_MIN_POINTS = 4
+REL_FLOOR = 0.10
+#: Trailing-window length and the minimum points to judge at all.
+WINDOW = 8
+MIN_POINTS = 4
+
+
+def field_value(document: dict, path: str) -> Any:
+    """The value at a dotted ``path`` (``"quant.accuracy.pwc_delta"``);
+    ``KeyError(path)`` when any part of it is missing."""
+    value: Any = document
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise KeyError(path)
+        value = value[key]
+    return value
+
+
+def append_history(path: str, payload: dict, fields: Sequence[str],
+                   mode: str, status: int) -> None:
+    """Append one bench run's line to the history file.
+
+    The line names the run (time, ``mode`` "write" or "check", exit
+    ``status``, benchmark, run id, config digest) and holds the payload's
+    top-level numbers plus each dotted path in ``fields`` that the payload
+    has, keyed by that path: the keys :func:`check_trend` reads back.
+    """
+    manifest = payload["manifest"]
+    line = {"unix_time": time.time(), "mode": mode, "status": status,
+            "benchmark": payload["benchmark"], "run_id": manifest["run_id"],
+            "config_digest": manifest["config_digest"]}
+    line.update((key, value) for key, value in payload.items()
+                if isinstance(value, (int, float)))
+    for field in fields:
+        try:
+            line[field] = field_value(payload, field)
+        except KeyError:
+            pass
+    append_jsonl(path, line)
 
 
 @dataclass
@@ -106,13 +144,11 @@ def metric_series(history: HistoryLoadResult, benchmark: str,
 class TrendVerdict:
     """Outcome of one regression check.
 
-    ``status`` is ``"ok"``, ``"regression"``, or ``"insufficient"`` (not
-    enough trailing points to judge — treated as passing by the gates).
+    ``status`` is ``"ok"``, ``"regression"``, or ``"insufficient"`` (fewer
+    than :data:`MIN_POINTS` trailing points: too few to judge).
     """
 
     status: str
-    benchmark: str
-    metric: str
     direction: str              # "higher" | "lower" is better
     value: Optional[float]
     median: Optional[float] = None
@@ -125,79 +161,55 @@ class TrendVerdict:
     def ok(self) -> bool:
         return self.status != "regression"
 
-    def describe(self) -> str:
-        label = f"{self.benchmark}.{self.metric}"
-        if self.status == "insufficient":
-            return (f"trend {label}: insufficient history "
-                    f"({self.points} points) — pass")
-        bound = ("floor" if self.direction == "higher" else "ceiling")
-        limit = (self.median - self.band if self.direction == "higher"
-                 else self.median + self.band)
-        verdict = "OK" if self.ok else "REGRESSION"
-        return (f"trend {label}: {verdict}  value={self.value:g}  "
-                f"median={self.median:g}  mad={self.mad:g}  "
-                f"{bound}={limit:g}  ({self.points} points"
-                + (f", {self.bad_lines} bad lines skipped" if self.bad_lines
-                   else "") + ")")
-
 
 def detect_regression(trailing: Sequence[float], value: float,
-                      direction: str = "higher",
-                      n_mads: float = DEFAULT_N_MADS,
-                      rel_floor: float = DEFAULT_REL_FLOOR,
-                      min_points: int = DEFAULT_MIN_POINTS) -> TrendVerdict:
+                      direction: str = "higher") -> TrendVerdict:
     """Judge ``value`` against the trailing window with median/MAD bands.
 
     ``direction="higher"`` means larger is better (fps, steps/sec) and a
     regression is ``value < median - band``; ``"lower"`` means smaller is
     better (latency) and a regression is ``value > median + band``, where
-    ``band = max(n_mads * MAD_SCALE * mad, rel_floor * |median|)``.
+    ``band = max(N_MADS * MAD_SCALE * mad, REL_FLOOR * |median|)``.
     """
     if direction not in ("higher", "lower"):
         raise ValueError(f"direction must be 'higher' or 'lower', "
                          f"got {direction!r}")
     trailing = [float(v) for v in trailing if np.isfinite(v)]
-    if len(trailing) < min_points:
-        return TrendVerdict(status="insufficient", benchmark="", metric="",
-                            direction=direction, value=value,
-                            points=len(trailing))
+    if len(trailing) < MIN_POINTS:
+        return TrendVerdict(status="insufficient", direction=direction,
+                            value=value, points=len(trailing))
     window = np.asarray(trailing, dtype=np.float64)
     median = float(np.median(window))
     mad = float(np.median(np.abs(window - median)))
-    band = max(n_mads * MAD_SCALE * mad, rel_floor * abs(median))
+    band = max(N_MADS * MAD_SCALE * mad, REL_FLOOR * abs(median))
     if direction == "higher":
         regressed = value < median - band
     else:
         regressed = value > median + band
     return TrendVerdict(status="regression" if regressed else "ok",
-                        benchmark="", metric="", direction=direction,
-                        value=value, median=median, mad=mad, band=band,
-                        points=len(trailing))
+                        direction=direction, value=value, median=median,
+                        mad=mad, band=band, points=len(trailing))
 
 
-def check_trend(path: str, benchmark: str, metric: str, value: float,
-                direction: str = "higher", window: int = DEFAULT_WINDOW,
-                n_mads: float = DEFAULT_N_MADS,
-                rel_floor: float = DEFAULT_REL_FLOOR,
-                min_points: int = DEFAULT_MIN_POINTS) -> TrendVerdict:
+def check_trend(path: str, benchmark: str, digest: str, metric: str,
+                value: float, direction: str = "higher") -> TrendVerdict:
     """Check a fresh measurement against the trailing committed history.
 
-    The window is the last ``window`` recorded values of ``metric`` for
-    ``benchmark`` (the fresh ``value`` itself is *not* in the file yet —
-    bench scripts append after gating).
+    The window is the last :data:`WINDOW` recorded values of ``metric``
+    on lines of ``benchmark`` run under config ``digest`` (the fresh
+    ``value`` itself is *not* in the file yet — the harness appends after
+    gating).
     """
     history = load_history(path, benchmark=benchmark)
-    values = metric_series(history, benchmark, metric)[-window:]
-    verdict = detect_regression(values, value, direction=direction,
-                                n_mads=n_mads, rel_floor=rel_floor,
-                                min_points=min_points)
-    verdict.benchmark = benchmark
-    verdict.metric = metric
+    history.records = [record for record in history.records
+                       if record.get("config_digest") == digest]
+    values = metric_series(history, benchmark, metric)[-WINDOW:]
+    verdict = detect_regression(values, value, direction=direction)
     verdict.bad_lines = history.bad_lines
     return verdict
 
 
-def trend_summary(path: str, window: int = DEFAULT_WINDOW) -> dict:
+def trend_summary(path: str) -> dict:
     """Dashboard view: per-benchmark, per-metric trailing rollups.
 
     Summarizes every numeric field that appears in a benchmark's records
@@ -218,7 +230,7 @@ def trend_summary(path: str, window: int = DEFAULT_WINDOW) -> dict:
                 if name not in skip and isinstance(value, (int, float))
                 and not isinstance(value, bool))
         for name in sorted(names):
-            values = metric_series(history, benchmark, name)[-window:]
+            values = metric_series(history, benchmark, name)[-WINDOW:]
             if not values:
                 continue
             window_arr = np.asarray(values, dtype=np.float64)
