@@ -2,15 +2,19 @@
 
 Not a paper table — these quantify the cost of each pipeline stage on the
 numpy stack so profile regressions are visible: detector inference, the
-differentiable EOT chain, patch compositing, scene rendering and the
-physical degradation models.
+differentiable EOT chain, one attack step's composite and GAN step,
+patch compositing, scene rendering and the physical degradation models.
 """
 
 import numpy as np
 import pytest
 
+from repro.attack.config import AttackConfig
+from repro.attack.trainer import _composite_batch
 from repro.detection import TinyYolo, detections_from_outputs, reduced_config
 from repro.eot import EOTPipeline
+from repro.gan import PatchDiscriminator, PatchGenerator
+from repro.gan.losses import generator_adversarial_loss
 from repro.nn import Tensor, no_grad
 from repro.patch import (
     apply_patches,
@@ -32,6 +36,7 @@ from repro.scene import (
     render_run,
     render_scene,
 )
+from repro.scene.video import sample_training_frames
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +85,44 @@ def test_eot_chain(benchmark):
     patch = Tensor(shape_image("star", 60)[None], requires_grad=True)
     rng = np.random.default_rng(0)
     benchmark(lambda: pipeline.sample_and_apply(patch, rng))
+
+
+def test_attack_step_composite(benchmark):
+    """One attack step's EOT + compositing at paper defaults, forward and
+    backward: 6 frames × 4 decals, k = 60, 96² frames."""
+    config = AttackConfig()
+    frames = sample_training_frames(
+        AttackScenario(), np.random.default_rng(0), config.batch_frames,
+        placement_offsets(config.n_patches),
+        patch_world_size(config.k, n_patches=config.n_patches), group=config.group)
+    pipeline = EOTPipeline.with_tricks(config.tricks)
+    shape = shape_image("star", config.k)[None]
+    rng = np.random.default_rng(1)
+
+    def run():
+        patch = Tensor(shape, requires_grad=True)
+        images, _ = _composite_batch(frames, patch, pipeline, rng,
+                                     config.capture_probability)
+        images.sum().backward()
+        return patch.grad
+
+    benchmark(run)
+
+
+def test_gan_generator_step(benchmark):
+    """One generator step's adversarial term at paper defaults: generator
+    and discriminator forward and backward at batch 18, k = 60."""
+    config = AttackConfig()
+    generator = PatchGenerator(config.k, latent_dim=config.latent_dim)
+    discriminator = PatchDiscriminator(config.k)
+    z = Tensor(generator.sample_latent(config.gan_batch, np.random.default_rng(0)))
+
+    def run():
+        generator.zero_grad()
+        discriminator.zero_grad()
+        generator_adversarial_loss(discriminator(generator(z))).backward()
+
+    benchmark(run)
 
 
 def test_patch_compositing(benchmark):

@@ -1,8 +1,11 @@
 #!/usr/bin/env python
 """Benchmark the parallel EOT training engine and emit ``BENCH_train.json``.
 
-Runs the decal-attack trainer twice on a reduced profile:
+Runs the decal-attack trainer three times on a reduced profile:
 
+* **batched** — ``workers=None``, the legacy batched step that perfbench
+  ``attack_train`` and the paper tables run (timed and reported, not
+  gated);
 * **serial** — ``workers=0``, the per-sample engine schedule executed
   in-process (the bit-identity oracle);
 * **parallel** — ``workers=N`` (default 4), the same schedule fanned out
@@ -184,6 +187,9 @@ def resume_parity(args: argparse.Namespace, reference: np.ndarray) -> bool:
 
 def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     serial_result, serial_seconds = run_training(args, 0)
+    # After the serial run, which pays the process's cold start (about
+    # half the speed of a warm run of the same schedule on a 2-CPU host).
+    _, batched_seconds = run_training(args, None)
 
     # Tracing and live train telemetry ride on the *parallel* timed run
     # only — the serial oracle stays uninstrumented, so the bit-identity
@@ -207,6 +213,7 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     resume_ok = (None if args.skip_resume_gate
                  else resume_parity(args, parallel_result.patch))
 
+    batched_sps = args.steps / batched_seconds
     serial_sps = args.steps / serial_seconds
     parallel_sps = args.steps / parallel_seconds
     speedup = parallel_sps / serial_sps
@@ -215,8 +222,10 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     obs.tracer.flush()
     return {
         "benchmark": "parallel_train_engine",
+        "batched_seconds": round(batched_seconds, 2),
         "serial_seconds": round(serial_seconds, 2),
         "parallel_seconds": round(parallel_seconds, 2),
+        "batched_steps_per_sec": round(batched_sps, 4),
         "serial_steps_per_sec": round(serial_sps, 4),
         "parallel_steps_per_sec": round(parallel_sps, 4),
         "speedup": round(speedup, 3),
@@ -239,7 +248,8 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
 
 def print_summary(args: argparse.Namespace, payload: dict) -> None:
     gate = payload["speedup_gate"]
-    print(f"serial(workers=0): {payload['serial_steps_per_sec']:.4f} steps/s   "
+    print(f"batched(workers=None): {payload['batched_steps_per_sec']:.4f} steps/s   "
+          f"serial(workers=0): {payload['serial_steps_per_sec']:.4f} steps/s   "
           f"parallel(x{args.workers}): "
           f"{payload['parallel_steps_per_sec']:.4f} steps/s   "
           f"speedup: {payload['speedup']:.2f}x "

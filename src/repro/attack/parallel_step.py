@@ -97,20 +97,18 @@ def attack_worker_step(ctx: _AttackContext, params: Dict[str, np.ndarray],
     patch from the parameter slab. Returns ``(sample_index,
     {"patch": grad}, {"loss": value})`` rows.
     """
-    from ..eot.transforms import print_response
-    from .trainer import _composite_one, attack_loss
+    from .trainer import _composite_batch, attack_loss
 
     payload = ctx.payload
     rows: List[tuple] = []
     for sample_index, frame_index in task["samples"]:
         rng = sample_stream(payload.seed, task["epoch"], task["step"], sample_index)
         patch = Tensor(np.array(params["patch"], copy=True), requires_grad=True)
-        printed = print_response(patch)
-        frame = payload.frames[frame_index]
-        image = _composite_one(frame, patch, printed, ctx.pipeline, rng,
-                               payload.capture_probability)
+        image, boxes = _composite_batch([payload.frames[frame_index]], patch,
+                                        ctx.pipeline, rng,
+                                        payload.capture_probability)
         outputs = ctx.model(image)
-        loss = attack_loss(outputs, [frame.target_box_xywh], ctx.model,
+        loss = attack_loss(outputs, boxes, ctx.model,
                            payload.target_label, payload.objectness_weight,
                            targeted=payload.targeted)
         loss.backward()

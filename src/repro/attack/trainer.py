@@ -158,6 +158,47 @@ def attack_loss(
     return total * (1.0 / max(terms, 1))
 
 
+@dataclass(frozen=True)
+class _CaptureDraws:
+    """One frame's capture-EOT draws, in the order :func:`_capture_augment`
+    has always taken them: the coarse illumination grid, the shadow coin
+    (plus the band's angle and offset when it lands), the blur coin, then
+    the sensor noise (kept as the float32 the frame adds)."""
+
+    coarse: np.ndarray
+    shadow: Optional[Tuple[float, float]]
+    blur: bool
+    noise: np.ndarray
+
+
+def _draw_capture(rng: np.random.Generator, shape_hw: Tuple[int, int]) -> _CaptureDraws:
+    from ..scene.physical import CaptureModel, _band_draw, _coarse_grid
+
+    model = CaptureModel()
+    coarse = _coarse_grid(shape_hw, rng)
+    shadow = _band_draw(rng) if rng.random() < model.shadow_probability else None
+    blur = bool(rng.random() < 0.7)
+    noise = rng.normal(0.0, model.noise_sigma, size=(1, 3) + tuple(shape_hw))
+    return _CaptureDraws(coarse, shadow, blur, noise.astype(np.float32))
+
+
+def _apply_capture(image: Tensor, draws: _CaptureDraws) -> Tensor:
+    """The capture-EOT of one frame, from its draws (never reads an rng)."""
+    from ..eot.transforms import blur3
+    from ..scene.physical import CaptureModel, _band, _illumination_fields
+
+    model = CaptureModel()
+    _, _, h, w = image.shape
+    field = _illumination_fields(draws.coarse[None], (h, w),
+                                 model.illumination_amplitude)[0]
+    out = image * field[None, None]
+    if draws.shadow is not None:
+        out = out * _band((h, w), *draws.shadow, model.shadow_strength)[None, None]
+    if draws.blur:
+        out = blur3(out)
+    return (out + draws.noise).clip(0.0, 1.0)
+
+
 def _capture_augment(image: Tensor, rng: np.random.Generator) -> Tensor:
     """EOT over the capture model (differentiable w.r.t. the image).
 
@@ -166,53 +207,18 @@ def _capture_augment(image: Tensor, rng: np.random.Generator) -> Tensor:
     sensor noise — but as fixed numpy constants multiplied/added onto the
     composited tensor, so gradients still reach the patch. This is the
     reparameterized-EOT trick: expectation over capture conditions, not
-    just over patch transforms.
+    just over patch transforms. The one-frame case of the attack step's
+    draw and compute passes.
     """
-    from ..eot.transforms import blur3
-    from ..scene.physical import CaptureModel, _illumination_field, _shadow_band
-
-    model = CaptureModel()
-    _, _, h, w = image.shape
-    field = _illumination_field((h, w), rng, model.illumination_amplitude)
-    out = image * field[None, None]
-    if rng.random() < model.shadow_probability:
-        out = out * _shadow_band((h, w), rng, model.shadow_strength)[None, None]
-    if rng.random() < 0.7:
-        out = blur3(out)
-    noise = rng.normal(0.0, model.noise_sigma, size=(1, 3, h, w)).astype(np.float32)
-    return (out + noise).clip(0.0, 1.0)
+    return _apply_capture(image, _draw_capture(rng, image.shape[2:]))
 
 
-def _composite_one(
-    frame: TrainingFrame,
-    patch: Tensor,
-    printed: Tensor,
-    pipeline: EOTPipeline,
-    rng: np.random.Generator,
-    capture_probability: float,
-) -> Tensor:
-    """EOT-transform and paste the patch into one frame (differentiable).
-
-    One decal instance is sampled per placement (alpha from the *pre-print*
-    patch so gamut compression cannot erase the silhouette), then the
-    composite optionally passes through the differentiable capture-EOT.
-    The draw order — per-placement transform samples, then one capture
-    coin — is the unit both schedules share: the legacy batched step walks
-    one rng across frames, the parallel engine gives every frame its own
-    derived stream (DESIGN.md §10).
-    """
-    patches = []
-    alphas = []
-    for _ in frame.placements:
-        transformed, alpha, _ = pipeline.sample_and_apply(
-            printed, rng, alpha=soft_background_mask(patch)
-        )
-        patches.append(transformed)
-        alphas.append(alpha)
-    image = apply_patches(frame.image, patches, alphas, frame.placements)
-    if rng.random() < capture_probability:
-        image = _capture_augment(image, rng)
-    return image
+def _rows(stack: Tensor, count: int) -> List[Tensor]:
+    """Each of ``count`` instances' ``(1, C, k, k)`` row of a transformed
+    stack; a stack that no θ moved is the shared source itself."""
+    if stack.shape[0] == 1:
+        return [stack] * count
+    return [stack[i:i + 1] for i in range(count)]
 
 
 def _composite_batch(
@@ -224,21 +230,51 @@ def _composite_batch(
 ) -> Tuple[Tensor, List[np.ndarray]]:
     """EOT-transform and paste the patch into every frame (differentiable).
 
-    The patch first passes through the differentiable printer response
-    (printability-by-design, §II-B) once — the composites are stacked into
-    one batch and the trainer runs a *single* batched detector forward
-    over them (the PR 2 hot path), not one forward per frame.
-    A ``capture_probability`` fraction of composited frames also pass
-    through the differentiable capture-EOT so the decal works on what the
-    camera actually records, not on ideal pixels.
+    One decal instance is sampled per placement (alpha from the *pre-print*
+    patch so gamut compression cannot erase the silhouette), then a
+    ``capture_probability`` fraction of composites pass through the
+    differentiable capture-EOT so the decal works on what the camera
+    actually records, not on ideal pixels.
+
+    A draw pass takes the random numbers first, in the order the step has
+    always taken them: per frame, each placement's θ, then the capture
+    coin and, when it lands, the capture draws. That per-frame unit is what
+    both schedules share: the legacy batched step walks one rng across
+    frames, the parallel engine calls this with one frame and its own
+    derived stream (DESIGN.md §10). The compute pass never reads ``rng``
+    (DESIGN.md §17): the patch passes through the printer response
+    (printability-by-design, §II-B) and the soft background mask once,
+    each geometric trick warps all frames × placements instances' ink in
+    one ``grid_sample`` and their alpha in another, and each frame takes
+    its instances' rows of the two stacks. The composites are stacked
+    into one batch for a *single* batched detector forward. ``patch`` is
+    the one deployment patch, ``(1, C, k, k)``.
     """
     from ..eot.transforms import print_response
 
-    printed = print_response(patch)
-    composited = [
-        _composite_one(frame, patch, printed, pipeline, rng, capture_probability)
-        for frame in frames
-    ]
+    if patch.shape[0] != 1:
+        raise ValueError(f"the attack step composites one patch, got a batch of "
+                         f"{patch.shape[0]}")
+    draws = []
+    for frame in frames:
+        params = [pipeline.sampler.sample(rng) for _ in frame.placements]
+        capture = (_draw_capture(rng, frame.image.shape[1:])
+                   if rng.random() < capture_probability else None)
+        draws.append((params, capture))
+
+    instances = [p for params, _ in draws for p in params]
+    inks = _rows(pipeline.transform(print_response(patch), instances), len(instances))
+    alphas = _rows(pipeline.transform(soft_background_mask(patch), instances, alpha=True),
+                   len(instances))
+    composited = []
+    stop = 0
+    for frame, (params, capture) in zip(frames, draws):
+        start, stop = stop, stop + len(params)
+        image = apply_patches(frame.image, inks[start:stop], alphas[start:stop],
+                              frame.placements)
+        if capture is not None:
+            image = _apply_capture(image, capture)
+        composited.append(image)
     boxes = [frame.target_box_xywh for frame in frames]
     return concatenate(composited, axis=0), boxes
 

@@ -609,21 +609,25 @@ def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
 
 
 def _subpixel_taps() -> np.ndarray:
-    """The ``(4, 9, 9)`` 0/1 map from a 3×3 kernel to its four phase
-    kernels: entry ``[(a, b), (ky, kx), (dy, dx)]`` is 1 when, in output
-    phase (a, b), tap (ky, kx) reads coarse offset (dy − 1, dx − 1).
+    """The ``(4, 9, 4)`` 0/1 map from a 3×3 kernel to its four 2×2 phase
+    kernels: entry ``[(a, b), (ky, kx), (ey, ex)]`` is 1 when, in output
+    phase (a, b), tap (ky, kx) reads offset (ey, ex) of the phase's 2×2
+    window.
 
     Fine output row ``2i + a`` reads upsampled rows ``2i + a + ky − 1``,
-    i.e. coarse rows ``i + (a + ky − 1) // 2``, so tap ky lands on
-    ``dy = (a + ky + 1) // 2``: phase 0 gets rows (w₀, w₁+w₂, 0) and
-    phase 1 rows (0, w₀+w₁, w₂). Columns follow the same rule.
+    i.e. coarse rows ``i + (a + ky − 1) // 2``: phase 0 reads coarse rows
+    (i − 1, i) with taps (w₀, w₁+w₂), phase 1 rows (i, i + 1) with taps
+    (w₀+w₁, w₂). On the pad-1 coarse map that is the 2×2 window starting
+    at row ``i + a``, and tap ky lands on ``ey = (a + ky + 1) // 2 − a``.
+    Columns follow the same rule. The other 5 of the 3×3 taps are always
+    zero, so they are not computed at all.
     """
-    taps = np.zeros((2, 3, 3), np.float32)  # (a, ky, dy)
+    taps = np.zeros((2, 3, 2), np.float32)  # (a, ky, ey)
     for a in range(2):
         for ky in range(3):
-            taps[a, ky, (a + ky + 1) // 2] = 1.0
+            taps[a, ky, (a + ky + 1) // 2 - a] = 1.0
     return (taps[:, None, :, None, :, None]
-            * taps[None, :, None, :, None, :]).reshape(4, 9, 9)
+            * taps[None, :, None, :, None, :]).reshape(4, 9, 4)
 
 
 _SUBPIXEL_TAPS = _subpixel_taps()
@@ -634,50 +638,52 @@ def upsample_conv2d(x: Tensor, weight: Tensor) -> Tensor:
     ``weight``, computed on the coarse map.
 
     Each of the four output phases (row parity a, column parity b) is a
-    pad-1 3×3 conv of ``x`` itself with a kernel whose taps are sums of
-    ``weight`` taps (:func:`_subpixel_taps`); one :func:`conv2d` with the
-    4·O phase kernels computes all four, and :func:`pixel_shuffle2`
-    interleaves them. Exact up to float32 rounding of the summed taps.
-    The GEMMs do the same multiply-adds as the upsampled conv's, but the
-    column gather and its backward scatter cover a quarter of the pixels,
-    and no upsampled map is built. Built from autodiff ops, so the
-    backward comes for free.
+    2×2 conv of the pad-1 coarse map with a kernel whose taps are sums of
+    ``weight`` taps (:func:`_subpixel_taps`). One pad-1 :func:`conv2d`
+    with the 4·O phase kernels computes every phase on the
+    ``(H+1)×(W+1)`` window grid, and :func:`pixel_shuffle2` reads phase
+    (a, b) at window offset (a, b). Exact up to float32 rounding of the
+    summed taps. The GEMMs do 4/9 of the upsampled conv's multiply-adds
+    (plus the one extra window row and column), the column gather and its
+    backward scatter cover a quarter of the pixels, and no upsampled map
+    is built. Built from autodiff ops, so the backward comes for free.
     """
     x, weight = ensure_tensor(x), ensure_tensor(weight)
     out_c, in_c, kh, kw = weight.shape
     if (kh, kw) != (3, 3):
         raise ValueError(f"upsample_conv2d needs a 3×3 kernel, got {weight.shape}")
-    n, _, h, w = x.shape
-    # (O, 1, C, 9) @ (4, 9, 9) -> (O, 4, C, 9): output channel o·4 + 2a + b.
+    # (O, 1, C, 9) @ (4, 9, 4) -> (O, 4, C, 4): output channel o·4 + 2a + b.
     phases = weight.reshape(out_c, 1, in_c, 9) @ _SUBPIXEL_TAPS
-    return pixel_shuffle2(conv2d(x, phases.reshape(4 * out_c, in_c, 3, 3), padding=1))
+    return pixel_shuffle2(conv2d(x, phases.reshape(4 * out_c, in_c, 2, 2), padding=1))
 
 
 def pixel_shuffle2(y: Tensor) -> Tensor:
-    """Interleave ``(N, 4·O, H, W)`` phase maps into ``(N, O, 2H, 2W)``:
-    channel ``o·4 + 2a + b`` fills pixels ``(2i + a, 2j + b)`` of channel o.
+    """Interleave ``(N, 4·O, H+1, W+1)`` phase window maps into
+    ``(N, O, 2H, 2W)``: pixel ``(2i + a, 2j + b)`` of channel o is window
+    ``(i + a, j + b)`` of channel ``o·4 + 2a + b``.
 
     Four strided-slice copies each way; a reshape → 6-D transpose →
     reshape chain moves the same bytes about 3× slower, because its inner
-    loop runs over the length-2 column phase.
+    loop runs over the length-2 column phase. The backward leaves the
+    window row and column each phase does not read at zero.
     """
     y = ensure_tensor(y)
-    n, channels, h, w = y.shape
-    out_c = channels // 4
+    n, channels, h1, w1 = y.shape
+    h, w, out_c = h1 - 1, w1 - 1, channels // 4
     value = np.empty((n, out_c, 2 * h, 2 * w), dtype=y.data.dtype)
-    phases = y.data.reshape(n, out_c, 4, h, w)
+    phases = y.data.reshape(n, out_c, 4, h1, w1)
     for a in range(2):
         for b in range(2):
-            value[:, :, a::2, b::2] = phases[:, :, 2 * a + b]
+            value[:, :, a::2, b::2] = phases[:, :, 2 * a + b, a:a + h, b:b + w]
     out = _make(value, (y,))
 
     def backward(grad, staged):
         grad = np.asarray(grad)
-        grad_y = np.empty((n, out_c, 4, h, w), dtype=grad.dtype)
+        grad_y = np.zeros((n, out_c, 4, h1, w1), dtype=grad.dtype)
         for a in range(2):
             for b in range(2):
-                grad_y[:, :, 2 * a + b] = grad[:, :, a::2, b::2]
-        _route(y, grad_y.reshape(n, channels, h, w), staged)
+                grad_y[:, :, 2 * a + b, a:a + h, b:b + w] = grad[:, :, a::2, b::2]
+        _route(y, grad_y.reshape(n, channels, h1, w1), staged)
 
     _define_backward(out, backward)
     return out
@@ -745,59 +751,78 @@ def interpolate_bilinear(x: Tensor, size: Tuple[int, int]) -> Tensor:
 def grid_sample(x: Tensor, grid: np.ndarray, padding_value: float = 0.0) -> Tensor:
     """Sample ``x`` at normalized grid locations with bilinear interpolation.
 
-    ``grid`` has shape ``(N, out_h, out_w, 2)`` with coordinates in
-    ``[-1, 1]`` (x then y, matching the torch convention). Out-of-range
-    samples read ``padding_value``. Gradients flow to ``x`` only; the grids
-    used by the EOT pipeline are sampled transformation parameters, never
-    learned, so grid gradients are unnecessary (documented substitution).
+    ``grid`` holds one ``(out_h, out_w, 2)`` map of (x, y) coordinates in
+    ``[-1, 1]`` (the torch convention) per output instance: ``(B, out_h,
+    out_w, 2)``. ``x`` is ``(B, C, H, W)``, instance b sampling source b,
+    or ``(1, C, H, W)``, one source that every instance samples.
+    Out-of-range samples read ``padding_value``. Gradients flow to ``x``
+    only; the EOT grids are sampled transformation parameters, never
+    learned (documented substitution).
+
+    Each corner is gathered through one flat index into the source padded
+    by one pixel of ``padding_value``; an out-of-range corner is clamped
+    onto that border, so it reads the padding itself. The backward
+    scatters each corner's contributions with a flat ``np.add.at`` into
+    one buffer per instance, corners in the order 00, 01, 10, 11 and
+    pixels in row-major order, and a shared source receives the sum of
+    its instances' buffers.
+
+    Non-finite input (DESIGN.md §17): a NaN or ±inf source pixel reaches
+    only the samples with a corner on it (an inf read at zero weight
+    gives NaN, inf·0), never an out-of-range sample; a −0.0 source pixel
+    can come out as −0.0. A non-finite grid coordinate reads the border
+    at NaN weight, so its sample is NaN.
     """
     x = ensure_tensor(x)
     n, c, h, w = x.data.shape
     grid = np.asarray(grid, dtype=np.float32)
-    if grid.shape[0] != n or grid.shape[-1] != 2:
+    b = grid.shape[0]
+    if grid.ndim != 4 or grid.shape[-1] != 2 or n not in (1, b):
         raise ValueError(f"grid shape {grid.shape} incompatible with input {x.data.shape}")
     out_h, out_w = grid.shape[1], grid.shape[2]
+    hp, wp = h + 2, w + 2
+    plane = hp * wp
+    source = np.full((n, c, hp, wp), padding_value, np.float32)
+    source[:, :, 1:-1, 1:-1] = x.data
 
-    gx = (grid[..., 0] + 1) * 0.5 * (w - 1)
-    gy = (grid[..., 1] + 1) * 0.5 * (h - 1)
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    x1, y1 = x0 + 1, y0 + 1
-    wx = (gx - x0).astype(np.float32)
-    wy = (gy - y0).astype(np.float32)
-
-    def corner(iy, ix):
-        valid = ((iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)).astype(np.float32)
-        iy_c = np.clip(iy, 0, h - 1)
-        ix_c = np.clip(ix, 0, w - 1)
-        batch = np.arange(n)[:, None, None]
-        values = x.data[batch, :, iy_c, ix_c]  # (n, out_h, out_w, c)
-        values = values * valid[..., None] + padding_value * (1 - valid[..., None])
-        return values, valid, iy_c, ix_c
-
-    v00, m00, y00, x00 = corner(y0, x0)
-    v01, m01, y01, x01 = corner(y0, x1)
-    v10, m10, y10, x10 = corner(y1, x0)
-    v11, m11, y11, x11 = corner(y1, x1)
-    w00 = ((1 - wy) * (1 - wx))[..., None]
-    w01 = ((1 - wy) * wx)[..., None]
-    w10 = (wy * (1 - wx))[..., None]
-    w11 = (wy * wx)[..., None]
-    value = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11
-    out = _make(value.transpose(0, 3, 1, 2).astype(np.float32), (x,))
+    gx = ((grid[..., 0] + 1) * 0.5 * (w - 1)).reshape(b, 1, out_h * out_w)
+    gy = ((grid[..., 1] + 1) * 0.5 * (h - 1)).reshape(b, 1, out_h * out_w)
+    fx, fy = np.floor(gx), np.floor(gy)
+    wx, wy = gx - fx, gy - fy
+    # Padded coordinates of each corner pair, clamped onto the border
+    # (fmax/fmin send NaN there too).
+    col0, col1, row0, row1 = (
+        np.fmin(np.fmax(f + shift, 0), limit).astype(np.intp)
+        for f, shift, limit in ((fx, 1, w + 1), (fx, 2, w + 1),
+                                (fy, 1, h + 1), (fy, 2, h + 1)))
+    row0 *= wp
+    row1 *= wp
+    corners = ((row0 + col0, (1 - wy) * (1 - wx)),
+               (row0 + col1, (1 - wy) * wx),
+               (row1 + col0, wy * (1 - wx)),
+               (row1 + col1, wy * wx))
+    # Plane offsets: source planes for the gather, one plane per instance
+    # and channel for the backward's buffer.
+    out_planes = (np.arange(b * c, dtype=np.intp) * plane).reshape(b, c, 1)
+    src_planes = out_planes if n == b else out_planes[:1]
+    flat = source.reshape(-1)
+    value = None
+    for index, weight in corners:
+        term = np.take(flat, index + src_planes) * weight
+        value = term if value is None else value + term
+    out = _make(value.reshape(b, c, out_h, out_w), (x,))
 
     def backward(grad, staged):
-        grad = np.asarray(grad, dtype=np.float32).transpose(0, 2, 3, 1)
-        grad_x = np.zeros_like(x.data)
-        batch = np.arange(n)[:, None, None]
-        for weight_map, mask, iy, ix in (
-            (w00, m00, y00, x00),
-            (w01, m01, y01, x01),
-            (w10, m10, y10, x10),
-            (w11, m11, y11, x11),
-        ):
-            contrib = grad * weight_map * mask[..., None]
-            np.add.at(grad_x, (batch, slice(None), iy, ix), contrib)
+        grad = np.asarray(grad, dtype=np.float32).reshape(b, c, out_h * out_w)
+        buffer = np.zeros(b * c * plane, np.float32)
+        for index, weight in corners:
+            np.add.at(buffer, (index + out_planes).reshape(-1),
+                      (grad * weight).reshape(-1))
+        grad_x = buffer.reshape(b, c, hp, wp)[:, :, 1:-1, 1:-1]
+        if n == b:
+            grad_x = np.ascontiguousarray(grad_x)
+        else:
+            grad_x = grad_x.sum(axis=0, keepdims=True)
         _route(x, grad_x, staged)
 
     _define_backward(out, backward)

@@ -481,6 +481,20 @@ def minimum(a: ArrayLike, b: ArrayLike) -> Tensor:
     return out
 
 
+def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
+    """``a`` where ``condition`` holds, else ``b`` (numpy broadcasting)."""
+    a, b = ensure_tensor(a), ensure_tensor(b)
+    condition = np.asarray(condition, dtype=bool)
+    out = _make(np.where(condition, a.data, b.data), (a, b))
+
+    def backward(grad, staged):
+        _route(a, np.where(condition, grad, np.float32(0)), staged)
+        _route(b, np.where(condition, np.float32(0), grad), staged)
+
+    _define_backward(out, backward)
+    return out
+
+
 # ----------------------------------------------------------------------
 # Reductions
 # ----------------------------------------------------------------------
@@ -668,6 +682,7 @@ __all__ = [
     "clip",
     "maximum",
     "minimum",
+    "where",
     "tensor_sum",
     "tensor_mean",
     "tensor_max",

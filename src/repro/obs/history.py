@@ -3,9 +3,9 @@
 Every bench run that passes its report rows appends one manifest-stamped
 line through :func:`append_history` (the bench harness,
 :mod:`repro.obs.bench`, is its caller), so the line format lives here
-beside its reader: a tolerant
-loader, per-benchmark trend summaries for the dashboard, and the robust
-regression detector behind the harness's ``trend`` gate rows.
+beside its reader: a tolerant loader, per-benchmark and per-config trend
+summaries for the dashboard, and the robust regression detector behind
+the harness's ``trend`` gate rows.
 
 The detector is deliberately robust statistics, not a mean/σ band: bench
 numbers on shared CI boxes have heavy-tailed noise (one loaded run would
@@ -92,9 +92,6 @@ class HistoryLoadResult:
     records: List[dict]
     bad_lines: int
     path: str
-
-    def benchmarks(self) -> List[str]:
-        return sorted({str(r.get("benchmark", "?")) for r in self.records})
 
 
 def load_history(path: str, benchmark: Optional[str] = None) -> HistoryLoadResult:
@@ -210,39 +207,37 @@ def check_trend(path: str, benchmark: str, digest: str, metric: str,
 
 
 def trend_summary(path: str) -> dict:
-    """Dashboard view: per-benchmark, per-metric trailing rollups.
+    """Dashboard view: per-benchmark, per-config, per-metric trailing
+    rollups.
 
-    Summarizes every numeric field that appears in a benchmark's records
+    ``benchmarks[benchmark][config_digest][metric]`` summarizes every
+    numeric field of that benchmark's lines under that config digest
     (excluding bookkeeping fields), with median/MAD/latest over the
-    trailing window.
+    trailing window. Like :func:`check_trend`, it never pools two
+    configurations.
     """
     skip = {"unix_time", "status", "schema_version"}
     history = load_history(path)
-    out: Dict[str, Dict[str, dict]] = {}
-    for benchmark in history.benchmarks():
-        metrics: Dict[str, dict] = {}
-        names = set()
-        for record in history.records:
-            if record.get("benchmark") != benchmark:
-                continue
-            names.update(
-                name for name, value in record.items()
-                if name not in skip and isinstance(value, (int, float))
-                and not isinstance(value, bool))
-        for name in sorted(names):
-            values = metric_series(history, benchmark, name)[-WINDOW:]
-            if not values:
-                continue
-            window_arr = np.asarray(values, dtype=np.float64)
-            median = float(np.median(window_arr))
-            metrics[name] = {
-                "latest": values[-1],
-                "median": median,
-                "mad": float(np.median(np.abs(window_arr - median))),
-                "min": float(window_arr.min()),
-                "max": float(window_arr.max()),
-                "points": len(values),
-            }
-        out[benchmark] = metrics
+    series: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
+    for record in history.records:
+        metrics = series.setdefault(str(record.get("benchmark", "?")), {}).setdefault(
+            str(record.get("config_digest", "?")), {})
+        for name, value in record.items():
+            if (name not in skip and isinstance(value, (int, float))
+                    and not isinstance(value, bool) and np.isfinite(value)):
+                metrics.setdefault(name, []).append(float(value))
+    out = {benchmark: {digest: {name: _rollup(values[-WINDOW:])
+                                for name, values in sorted(metrics.items())}
+                       for digest, metrics in sorted(configs.items())}
+           for benchmark, configs in sorted(series.items())}
     return {"path": history.path, "bad_lines": history.bad_lines,
             "benchmarks": out}
+
+
+def _rollup(values: List[float]) -> dict:
+    window = np.asarray(values, dtype=np.float64)
+    median = float(np.median(window))
+    return {"latest": values[-1], "median": median,
+            "mad": float(np.median(np.abs(window - median))),
+            "min": float(window.min()), "max": float(window.max()),
+            "points": len(values)}

@@ -96,3 +96,12 @@ class TestCompositeBatch:
                                 np.random.default_rng(5),
                                 capture_probability=0.0)
         np.testing.assert_allclose(a.data, b.data)
+
+    def test_patch_batch_must_be_one(self, frame_pool, rng):
+        # The step composites the one deployment patch; a batch of N would
+        # otherwise be read as one row per decal instance.
+        patch = Tensor(rng.random((2, 1, 20, 20)).astype(np.float32))
+        pipeline = EOTPipeline.with_tricks(frozenset({"rotation"}))
+        with pytest.raises(ValueError, match="one patch"):
+            _composite_batch(frame_pool[:1], patch, pipeline,
+                             np.random.default_rng(0), capture_probability=0.0)

@@ -157,7 +157,8 @@ class TestInteriorGradients:
         for param in model.parameters():
             param.requires_grad = False
         pipeline = EOTPipeline.with_tricks(frozenset({"rotation", "resize"}))
-        z = np.random.default_rng(1).normal(size=(2, 32)).astype(np.float32)
+        # One deployment patch, as the trainer composites.
+        z = np.random.default_rng(1).normal(size=(1, 32)).astype(np.float32)
 
         def step():
             generator = PatchGenerator(20)

@@ -197,9 +197,11 @@ class TestGridSample:
         np.testing.assert_allclose(out.data, 0.25)
 
     def test_bad_grid_shape_raises(self, rng):
-        x = tensor_of(rng, (1, 1, 4, 4))
-        with pytest.raises(ValueError):
-            F.grid_sample(x, np.zeros((2, 3, 3, 2), dtype=np.float32))
+        # One source serves any number of grids; otherwise one per grid.
+        x = tensor_of(rng, (3, 2, 4, 4))
+        for shape in ((2, 3, 3, 2), (3, 3, 3, 3), (3, 3, 3), (3, 2, 3, 3, 2)):
+            with pytest.raises(ValueError):
+                F.grid_sample(x, np.zeros(shape, dtype=np.float32))
 
     def test_gradcheck(self, rng, numgrad):
         x = tensor_of(rng, (1, 2, 5, 5))

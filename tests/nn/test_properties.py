@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.gan import PatchDiscriminator, PatchGenerator
 from repro.gan.losses import discriminator_loss, generator_adversarial_loss
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, no_grad, stack
 from repro.nn import functional as F
 from repro.nn.functional import ConvWorkspace
 from repro.nn.lowering import FusedConvSpec, _ConvExec
@@ -658,7 +658,13 @@ class TestUpsampleConvDifferential:
         upstream = rand((n, o, 2 * h, 2 * w), seed + 2)
 
         def transpose_shuffle(y):
-            return y.reshape(n, o, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(
+            # Phase (a, b) is the (H, W) window at offset (a, b) of its
+            # (H+1)×(W+1) map.
+            phases = y.reshape(n, o, 2, 2, h + 1, w + 1)
+            windows = stack([stack([phases[:, :, a, b, a:a + h, b:b + w]
+                                    for b in range(2)], axis=2)
+                             for a in range(2)], axis=2)
+            return windows.transpose(0, 1, 4, 2, 5, 3).reshape(
                 n, o, 2 * h, 2 * w)
 
         def run():

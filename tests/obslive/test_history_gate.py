@@ -62,12 +62,7 @@ def write_history(path, benchmark, metric, values, digest="d"):
 
 def committed_report(name):
     with open(os.path.join(REPO_ROOT, f"BENCH_{name}.json")) as handle:
-        report = json.load(handle)
-    if name == "train":
-        # Its stage table predates `stage_table`'s columns, which the
-        # printout reads; no row gates it.
-        report["perf"]["stages"] = {}
-    return report
+        return json.load(handle)
 
 
 def passing_payload(name):
@@ -382,6 +377,15 @@ class TestBenchGates:
                            for gate in BENCHES[name].GATES
                            if gate.kind == "trend")
 
+    def test_committed_train_report_prints(self, capsys):
+        """The train printout reads the committed report as written: its
+        stage table has `stage_table`'s columns and it times the batched
+        schedule."""
+        report = committed_report("train")
+        BENCHES["train"].print_summary(SimpleNamespace(**report["config"]), report)
+        out = capsys.readouterr().out
+        assert "batched(workers=None)" in out and "self ms" in out
+
     def test_committed_row_fails_on_another_config(self, tmp_path,
                                                    monkeypatch, capsys):
         """`--workers 2` is not held to the `workers=4` report: the row
@@ -532,9 +536,27 @@ class TestTrendSummary:
         assert summary["bad_lines"] == 0
         assert "detection_serve" in summary["benchmarks"]
         serve = summary["benchmarks"]["detection_serve"]
-        assert "sustained_fps" in serve
-        assert serve["sustained_fps"]["points"] >= 1
-        assert serve["sustained_fps"]["median"] > 0
+        # The committed history holds one serve line per config: without
+        # and with --chaos. Each digest reads its own value, never the
+        # pooled median of both (389.5).
+        assert {digest: metrics["sustained_fps"]["median"]
+                for digest, metrics in serve.items()} == {
+            "bb8cd549772c5127": 446.32, "2dbbb46b9b8678f4": 332.71}
+        assert all(metrics["sustained_fps"]["points"] == 1
+                   for metrics in serve.values())
+
+    def test_summary_keeps_configs_apart(self, tmp_path):
+        path = os.path.join(tmp_path, "h.jsonl")
+        with open(path, "w") as handle:
+            for digest, fps in (("a", 10.0), ("b", 100.0), ("a", 12.0),
+                                ("b", 104.0), ("a", 14.0)):
+                handle.write(json.dumps({"benchmark": "bench", "config_digest": digest,
+                                         "fps": fps, "ok": True}) + "\n")
+        summary = trend_summary(path)["benchmarks"]["bench"]
+        assert summary["a"]["fps"]["median"] == 12.0
+        assert (summary["a"]["fps"]["latest"], summary["a"]["fps"]["points"]) == (14.0, 3)
+        assert summary["b"]["fps"]["median"] == 102.0
+        assert "ok" not in summary["a"]
 
     def test_check_trend_reports_bad_lines(self, tmp_path):
         path = os.path.join(tmp_path, "h.jsonl")
