@@ -2,8 +2,9 @@
 
 Not a paper table — these quantify the cost of each pipeline stage on the
 numpy stack so profile regressions are visible: detector inference, the
-differentiable EOT chain, one attack step's composite and GAN step,
-patch compositing, scene rendering and the physical degradation models.
+differentiable EOT chain, one attack step's composite, frozen-detector
+input gradient and GAN steps, patch compositing, scene rendering and the
+physical degradation models.
 """
 
 import numpy as np
@@ -14,8 +15,8 @@ from repro.attack.trainer import _composite_batch
 from repro.detection import TinyYolo, detections_from_outputs, reduced_config
 from repro.eot import EOTPipeline
 from repro.gan import PatchDiscriminator, PatchGenerator
-from repro.gan.losses import generator_adversarial_loss
-from repro.nn import Tensor, no_grad
+from repro.gan.losses import discriminator_loss, generator_adversarial_loss
+from repro.nn import Adam, Tensor, clip_grad_norm, no_grad
 from repro.patch import (
     apply_patches,
     patch_world_size,
@@ -24,6 +25,7 @@ from repro.patch import (
     soft_background_mask,
 )
 from repro.patch.apply import PixelPlacement
+from repro.patch.shapes import sample_batch
 from repro.scene import (
     AttackScenario,
     Camera,
@@ -78,6 +80,23 @@ def test_detector_backward(model, benchmark):
     benchmark(run)
 
 
+def test_frozen_detector_input_gradient(benchmark):
+    """The detector half of the attack step's backward: batch 6, 96²,
+    eval mode, parameters frozen, input gradient only."""
+    model = TinyYolo(reduced_config(input_size=96, width_multiplier=0.25),
+                     seed=0).eval()
+    images = np.random.default_rng(0).random((6, 3, 96, 96), dtype=np.float32)
+
+    def run():
+        image = Tensor(images, requires_grad=True)
+        coarse, fine = model(image)
+        (coarse.sum() + fine.sum()).backward()
+        return image.grad
+
+    with model.frozen():
+        benchmark(run)
+
+
 def test_eot_chain(benchmark):
     pipeline = EOTPipeline.with_tricks(
         frozenset({"resize", "rotation", "gamma", "perspective"})
@@ -109,18 +128,31 @@ def test_attack_step_composite(benchmark):
     benchmark(run)
 
 
-def test_gan_generator_step(benchmark):
-    """One generator step's adversarial term at paper defaults: generator
-    and discriminator forward and backward at batch 18, k = 60."""
+def test_gan_step(benchmark):
+    """One D step and one G step as ``train_gan`` runs them at paper
+    defaults (batch 18, k = 60), the discriminator frozen in the G step."""
     config = AttackConfig()
     generator = PatchGenerator(config.k, latent_dim=config.latent_dim)
     discriminator = PatchDiscriminator(config.k)
-    z = Tensor(generator.sample_latent(config.gan_batch, np.random.default_rng(0)))
+    g_optimizer = Adam(generator.parameters(), lr=config.learning_rate)
+    d_optimizer = Adam(discriminator.parameters(), lr=config.learning_rate)
+    rng = np.random.default_rng(0)
+    real = Tensor(sample_batch(config.shape, config.k, config.gan_batch, rng))
+    z = Tensor(generator.sample_latent(config.gan_batch, rng))
 
     def run():
-        generator.zero_grad()
-        discriminator.zero_grad()
-        generator_adversarial_loss(discriminator(generator(z))).backward()
+        d_loss = discriminator_loss(discriminator(real),
+                                    discriminator(generator(z).detach()))
+        d_optimizer.zero_grad()
+        d_loss.backward()
+        clip_grad_norm(discriminator.parameters(), config.grad_clip)
+        d_optimizer.step()
+        with discriminator.frozen():
+            g_loss = generator_adversarial_loss(discriminator(generator(z)))
+            g_optimizer.zero_grad()
+            g_loss.backward()
+        clip_grad_norm(generator.parameters(), config.grad_clip)
+        g_optimizer.step()
 
     benchmark(run)
 

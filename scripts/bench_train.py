@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Benchmark the parallel EOT training engine and emit ``BENCH_train.json``.
 
-Runs the decal-attack trainer three times on a reduced profile:
+Runs the decal-attack trainer on a reduced profile: one untimed serial
+warm-up run, which pays the process's cold start, then three timed runs:
 
 * **batched** — ``workers=None``, the legacy batched step that perfbench
   ``attack_train`` and the paper tables run (timed and reported, not
@@ -186,9 +187,11 @@ def resume_parity(args: argparse.Namespace, reference: np.ndarray) -> bool:
 
 
 def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
+    # Untimed: the process's first run pays its cold start, about half
+    # the speed of a warm run of the same schedule on a 2-CPU host, so
+    # every timed run below is a warm one.
+    run_training(args, 0)
     serial_result, serial_seconds = run_training(args, 0)
-    # After the serial run, which pays the process's cold start (about
-    # half the speed of a warm run of the same schedule on a 2-CPU host).
     _, batched_seconds = run_training(args, None)
 
     # Tracing and live train telemetry ride on the *parallel* timed run

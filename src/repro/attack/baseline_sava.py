@@ -80,10 +80,7 @@ def train_sava_baseline(
     rng = np.random.default_rng(derive_seed(config.seed, "sava"))
 
     model.eval()
-    frozen_state = [p.requires_grad for p in model.parameters()]
-    for param in model.parameters():
-        param.requires_grad = False
-    try:
+    with model.frozen():
         # Unconstrained parameterization: patch = σ(theta) stays in [0, 1].
         theta = Parameter(rng.normal(0.0, 1.0, size=(1, 3, config.k, config.k)))
         optimizer = Adam([theta], lr=5e-2)
@@ -145,6 +142,3 @@ def train_sava_baseline(
             history=log,
             world_size_m=world_size,
         )
-    finally:
-        for param, state in zip(model.parameters(), frozen_state):
-            param.requires_grad = state

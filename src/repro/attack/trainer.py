@@ -391,21 +391,14 @@ def train_patch_attack(
     # Freeze the victim: gradients flow *through* the detector (white-box
     # access) but never *into* it. Restored on exit so a caller can keep
     # fine-tuning the detector afterwards.
-    detector_params = model.parameters()
-    frozen_state = [p.requires_grad for p in detector_params]
-    for param in detector_params:
-        param.requires_grad = False
-    try:
-        with span_scope(obs, "attack.train", steps=config.steps,
-                        seed=config.seed, target=config.target_class,
-                        n_patches=config.n_patches, workers=config.workers):
-            return _train_with_frozen_detector(
-                model, scenario, config, log, rng, target_label, runtime, obs,
-                live,
-            )
-    finally:
-        for param, state in zip(detector_params, frozen_state):
-            param.requires_grad = state
+    with model.frozen(), span_scope(obs, "attack.train", steps=config.steps,
+                                    seed=config.seed, target=config.target_class,
+                                    n_patches=config.n_patches,
+                                    workers=config.workers):
+        return _train_with_frozen_detector(
+            model, scenario, config, log, rng, target_label, runtime, obs,
+            live,
+        )
 
 
 def _train_with_frozen_detector(
@@ -576,57 +569,66 @@ def _train_with_frozen_detector(
             d_optimizer.step()
 
             # -- generator: adversarial + α · attack -----------------------
-            fake = generator(Tensor(z_noise))
-            adv = generator_adversarial_loss(discriminator(fake))
+            # The discriminator's weight gradients would go unread (the next
+            # D step zeroes them), so it is frozen from this forward through
+            # the backward.
+            with discriminator.frozen():
+                fake = generator(Tensor(z_noise))
+                adv = generator_adversarial_loss(discriminator(fake))
 
-            patch = generator(Tensor(z_deploy))
-            if evaluator is not None:
-                # Engine schedule: the deployment patch is broadcast once
-                # through the parameter slab; every EOT sample (transform →
-                # composite → frozen-detector forward → L_f → patch grad)
-                # evaluates independently under its own derived stream, and
-                # the per-sample gradients come back through the gradient
-                # slab to be summed in fixed tree order.
-                indices = _batch_frame_indices(len(pool), config, rng)
-                n_samples = len(indices)
-                tasks = [
-                    {"step": step, "epoch": eot_epoch[0],
-                     "samples": [(i, frame_index)]}
-                    for i, frame_index in enumerate(indices)
-                ]
-                out = evaluator.evaluate(
-                    {"patch": np.ascontiguousarray(patch.data, dtype=np.float32)},
-                    tasks, n_samples, ["patch"],
-                )
-                reduced = evaluator.reduce_grads(out)["patch"]
-                mean_scale = np.float32(1.0 / n_samples)
-                attack_value = float(evaluator.reduce(
-                    [np.float32(s["loss"]) for s in out.scalars]) * mean_scale)
-                g_loss_value = float(adv.data) + config.alpha * attack_value
-                guard.check(step, g_loss=g_loss_value)
-                g_optimizer.zero_grad()
-                adv.backward()
-                # d(α · mean loss)/d(patch) seeds the generator backward.
-                patch.backward(reduced * np.float32(config.alpha / n_samples))
-                n_frames = n_samples
-            else:
-                frames = _batch_frames(pool, config, rng)
-                images, boxes = _composite_batch(
-                    frames, patch, pipeline, rng,
-                    capture_probability=config.capture_probability,
-                )
-                outputs = model(images)
-                attack = attack_loss(outputs, boxes, model, target_label,
-                                     config.objectness_weight,
-                                     targeted=config.targeted)
+                patch = generator(Tensor(z_deploy))
+                if evaluator is not None:
+                    # Engine schedule: the deployment patch is broadcast
+                    # once through the parameter slab; every EOT sample
+                    # (transform → composite → frozen-detector forward → L_f
+                    # → patch grad) evaluates independently under its own
+                    # derived stream, and the per-sample gradients come back
+                    # through the gradient slab to be summed in fixed tree
+                    # order.
+                    indices = _batch_frame_indices(len(pool), config, rng)
+                    n_samples = len(indices)
+                    tasks = [
+                        {"step": step, "epoch": eot_epoch[0],
+                         "samples": [(i, frame_index)]}
+                        for i, frame_index in enumerate(indices)
+                    ]
+                    out = evaluator.evaluate(
+                        {"patch": np.ascontiguousarray(patch.data,
+                                                       dtype=np.float32)},
+                        tasks, n_samples, ["patch"],
+                    )
+                    reduced = evaluator.reduce_grads(out)["patch"]
+                    mean_scale = np.float32(1.0 / n_samples)
+                    attack_value = float(evaluator.reduce(
+                        [np.float32(s["loss"]) for s in out.scalars])
+                        * mean_scale)
+                    g_loss_value = float(adv.data) + config.alpha * attack_value
+                    guard.check(step, g_loss=g_loss_value)
+                    g_optimizer.zero_grad()
+                    adv.backward()
+                    # d(α · mean loss)/d(patch) seeds the generator
+                    # backward.
+                    patch.backward(reduced
+                                   * np.float32(config.alpha / n_samples))
+                    n_frames = n_samples
+                else:
+                    frames = _batch_frames(pool, config, rng)
+                    images, boxes = _composite_batch(
+                        frames, patch, pipeline, rng,
+                        capture_probability=config.capture_probability,
+                    )
+                    outputs = model(images)
+                    attack = attack_loss(outputs, boxes, model, target_label,
+                                         config.objectness_weight,
+                                         targeted=config.targeted)
 
-                g_loss = adv + config.alpha * attack
-                attack_value = float(attack.data)
-                g_loss_value = float(g_loss.data)
-                guard.check(step, g_loss=g_loss_value)
-                g_optimizer.zero_grad()
-                g_loss.backward()
-                n_frames = len(frames)
+                    g_loss = adv + config.alpha * attack
+                    attack_value = float(attack.data)
+                    g_loss_value = float(g_loss.data)
+                    guard.check(step, g_loss=g_loss_value)
+                    g_optimizer.zero_grad()
+                    g_loss.backward()
+                    n_frames = len(frames)
             g_grad_norm = clip_grad_norm(generator.parameters(), config.grad_clip)
             guard.check(step, g_grad_norm=g_grad_norm)
             g_optimizer.step()

@@ -111,10 +111,14 @@ def gan_worker_step(ctx: _GanContext, params: Dict[str, np.ndarray],
             loss = discriminator_loss(
                 ctx.discriminator(Tensor(real)), ctx.discriminator(fake.detach()))
             prefix, module = "disc.", ctx.discriminator
+            loss.backward()
         else:
-            loss = generator_adversarial_loss(ctx.discriminator(fake))
+            # Only the generator's gradients ship back, so the
+            # discriminator computes none.
+            with ctx.discriminator.frozen():
+                loss = generator_adversarial_loss(ctx.discriminator(fake))
+                loss.backward()
             prefix, module = "gen.", ctx.generator
-        loss.backward()
         grads = {prefix + name: np.ascontiguousarray(param.grad, dtype=np.float32)
                  for name, param in module.named_parameters()}
         rows.append((sample_index, grads, {"loss": float(loss.data)}))

@@ -254,13 +254,15 @@ def train_gan(
                 guard.check(step, d_grad_norm=d_grad_norm)
                 d_optimizer.step()
 
-                # Generator step.
-                fake = generator(Tensor(z))
-                g_loss = generator_adversarial_loss(discriminator(fake))
-                g_loss_value = float(g_loss.data)
-                guard.check(step, g_loss=g_loss_value)
-                g_optimizer.zero_grad()
-                g_loss.backward()
+                # Generator step, the discriminator frozen: its weight
+                # gradients would go unread (the next D step zeroes them).
+                with discriminator.frozen():
+                    fake = generator(Tensor(z))
+                    g_loss = generator_adversarial_loss(discriminator(fake))
+                    g_loss_value = float(g_loss.data)
+                    guard.check(step, g_loss=g_loss_value)
+                    g_optimizer.zero_grad()
+                    g_loss.backward()
                 g_grad_norm = clip_grad_norm(generator.parameters(),
                                              config.grad_clip)
                 guard.check(step, g_grad_norm=g_grad_norm)

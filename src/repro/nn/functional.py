@@ -508,7 +508,14 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None, padding
     """Max pooling. YOLOv3-tiny uses both stride-2 pools and a final
     stride-1 kernel-2 pool (which needs asymmetric right/bottom padding).
     The backward sends each output's gradient to the first window position
-    whose input equals the max (or is NaN), found again from the input."""
+    whose input equals the max (or is NaN), found again from the input.
+
+    The backward has no data-dependent branch (DESIGN.md §8): the first
+    position is an ``np.minimum`` over per-offset candidates (the offset
+    where the input matches, k² where it does not), and each offset's
+    share of the gradient is the upstream gradient's bits ANDed with an
+    all-ones or all-zeros mask, i.e. the gradient or +0.0.
+    """
     x = ensure_tensor(x)
     stride = stride or kernel
     h, w = x.data.shape[2], x.data.shape[3]
@@ -544,22 +551,33 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: Optional[int] = None, padding
 
     def backward(grad, staged):
         data = padded()
-        grad = np.asarray(grad, dtype=np.float32)
+        bits = np.asarray(grad, dtype=np.float32).view(np.uint32)
         # The first window position (row-major) equal to the max, with a
         # NaN counting as equal: the position argmax would pick.
-        windows = range(kernel * kernel)
-        first = np.full(value.shape, kernel * kernel, np.intp)
-        for index in reversed(windows):
+        windows = kernel * kernel
+        offset = np.min_scalar_type(windows).type
+        first = np.full(value.shape, windows, offset)
+        match = np.empty(value.shape, bool)
+        for index in range(windows):
             view = _window(data, *divmod(index, kernel), stride, out_h, out_w)
-            np.copyto(first, index, where=(view == value) | np.isnan(view))
+            np.equal(view, value, out=match)
+            match |= np.isnan(view)
+            np.minimum(first, offset(windows)
+                       - match.view(np.uint8) * offset(windows - index),
+                       out=first)
         # Reversed offsets add each input's contributions in increasing
         # output order, so overlapping (stride-1) windows sum in the same
-        # order as a scatter-add over the outputs.
+        # order as a scatter-add over the outputs. An output's gradient
+        # reaches only its first position; the others add +0.0.
         grad_padded = np.zeros(data.shape, dtype=np.float32)
-        for index in reversed(windows):
+        share = np.empty(value.shape, np.uint32)
+        for index in reversed(range(windows)):
+            np.equal(first, index, out=match)
+            np.negative(match, out=share, dtype=np.uint32)
+            share &= bits
             view = _window(grad_padded, *divmod(index, kernel), stride,
                            out_h, out_w)
-            view += np.where(first == index, grad, 0.0)
+            view += share.view(np.float32)
         if pad_spec is not None:
             top, left = pad_spec[2][0], pad_spec[3][0]
             grad_padded = grad_padded[:, :, top:top + h, left:left + w]
@@ -721,27 +739,21 @@ def interpolate_bilinear(x: Tensor, size: Tuple[int, int]) -> Tensor:
     out = _make(value.astype(np.float32), (x,))
 
     def backward(grad, staged):
+        # Each corner scatters with one flat np.add.at over every plane,
+        # pixels in row-major order within a plane and corners in the
+        # order 00, 01, 10, 11: the order the per-plane scatter used.
         grad = np.asarray(grad, dtype=np.float32)
-        grad_x = np.zeros_like(x.data)
-        w00 = (1 - wy)[:, None] * (1 - wx)[None, :]
-        w01 = (1 - wy)[:, None] * wx[None, :]
-        w10 = wy[:, None] * (1 - wx)[None, :]
-        w11 = wy[:, None] * wx[None, :]
-        iy0 = y0[:, None].repeat(out_w, axis=1)
-        iy1 = y1[:, None].repeat(out_w, axis=1)
-        ix0 = x0[None, :].repeat(out_h, axis=0)
-        ix1 = x1[None, :].repeat(out_h, axis=0)
-        for weight_map, iy, ix in (
-            (w00, iy0, ix0),
-            (w01, iy0, ix1),
-            (w10, iy1, ix0),
-            (w11, iy1, ix1),
+        grad_x = np.zeros(x.data.shape, x.data.dtype)
+        planes = (np.arange(n * c, dtype=np.intp) * (h * w))[:, None]
+        for weight_map, rows, cols in (
+            ((1 - wy)[:, None] * (1 - wx)[None, :], y0, x0),
+            ((1 - wy)[:, None] * wx[None, :], y0, x1),
+            (wy[:, None] * (1 - wx)[None, :], y1, x0),
+            (wy[:, None] * wx[None, :], y1, x1),
         ):
-            np.add.at(
-                grad_x,
-                (slice(None), slice(None), iy, ix),
-                grad * weight_map[None, None],
-            )
+            index = (rows[:, None] * w + cols[None, :]).reshape(1, -1) + planes
+            np.add.at(grad_x.reshape(-1), index.reshape(-1),
+                      (grad * weight_map[None, None]).reshape(-1))
         _route(x, grad_x, staged)
 
     _define_backward(out, backward)
@@ -885,13 +897,20 @@ def leaky_max(y: np.ndarray, slope: float, out: Optional[np.ndarray] = None,
 
 def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
     """Leaky ReLU with darknet's default slope of 0.1 (:func:`leaky_max`,
-    so 0 < slope ≤ 1)."""
+    so 0 < slope ≤ 1).
+
+    The backward multiplies the gradient by ``max(x > 0, slope)`` in
+    float32: 1 or the slope, with no data-dependent branch (DESIGN.md
+    §8). ``grad·1`` is ``grad`` bit for bit, so this equals ``where(x >
+    0, grad, slope·grad)``.
+    """
     x = ensure_tensor(x)
     out = _make(leaky_max(x.data, slope), (x,))
 
     def backward(grad, staged):
-        grad = np.asarray(grad, dtype=np.float32)
-        _route(x, np.where(x.data > 0, grad, slope * grad), staged)
+        factor = np.maximum(x.data > 0, slope, dtype=np.float32)
+        _route(x, np.multiply(np.asarray(grad, dtype=np.float32), factor,
+                              out=factor), staged)
 
     _define_backward(out, backward)
     return out
@@ -1041,28 +1060,33 @@ def batch_norm(
     matching darknet/torch semantics.
 
     The forward normalizes in one buffer, in place, as
-    ``((x − μ)·(1/σ))·γ + β``. The backward recomputes x̂ from ``x`` and
-    this forward's μ and 1/σ (eval mode copies the running mean, which a
-    later training-mode forward updates in place), only when γ needs a
-    gradient or batch statistics were used.
+    ``((x − μ)·(1/σ))·γ + β``; in training mode the batch variance is
+    the mean square of that centred buffer, the sum, subtract, square,
+    sum, divide ``ndarray.var`` computes. The backward recomputes x̂ from
+    ``x`` and this forward's μ and 1/σ (eval mode copies the running
+    mean, which a later training-mode forward updates in place), only
+    when γ needs a gradient or batch statistics were used. It then works
+    in place in x̂, one product buffer and ``g = grad·γ``, in the
+    out-of-place formula's order of operations and dtypes: with a float64
+    input, ``g − Σg/m`` is float32 and the rest float64 (DESIGN.md §8).
     """
     x = ensure_tensor(x)
     axes = (0, 2, 3)
+    count = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+    mean = x.data.mean(axis=axes) if training else running_mean.copy()
+    value = x.data - mean.reshape(1, -1, 1, 1)
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        n_elems = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
-        unbiased = var * n_elems / max(n_elems - 1, 1)
+        var = np.square(value).sum(axis=axes)
+        np.true_divide(var, np.intp(count), out=var, casting="unsafe")
+        unbiased = var * count / max(count - 1, 1)
         running_mean *= 1 - momentum
         running_mean += momentum * mean
         running_var *= 1 - momentum
         running_var += momentum * unbiased
     else:
-        mean = running_mean.copy()
         var = running_var
     mean = mean.reshape(1, -1, 1, 1)
     inv_std = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
-    value = x.data - mean
     value *= inv_std
     value *= gamma.data.reshape(1, -1, 1, 1)
     value += beta.data.reshape(1, -1, 1, 1)
@@ -1070,21 +1094,29 @@ def batch_norm(
 
     def backward(grad, staged):
         grad = np.asarray(grad, dtype=np.float32)
+        product = None
         if gamma.requires_grad or training:
-            x_hat = (x.data - mean) * inv_std
+            x_hat = x.data - mean
+            x_hat *= inv_std
         if gamma.requires_grad:
-            _route(gamma, (grad * x_hat).sum(axis=axes), staged)
+            product = np.multiply(grad, x_hat)
+            _route(gamma, product.sum(axis=axes), staged)
         if beta.requires_grad:
             _route(beta, grad.sum(axis=axes), staged)
         if x.requires_grad:
             g = grad * gamma.data.reshape(1, -1, 1, 1)
             if training:
-                m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+                # inv_std · (g − Σg/m − x̂·Σ(g·x̂)/m), evaluated into x̂.
                 sum_g = g.sum(axis=axes, keepdims=True)
-                sum_gx = (g * x_hat).sum(axis=axes, keepdims=True)
-                grad_x = inv_std * (g - sum_g / m - x_hat * sum_gx / m)
+                sum_gx = np.multiply(g, x_hat, out=product).sum(
+                    axis=axes, keepdims=True)
+                g -= sum_g / count
+                x_hat *= sum_gx
+                x_hat /= count
+                grad_x = np.subtract(g, x_hat, out=x_hat)
+                np.multiply(inv_std, grad_x, out=grad_x)
             else:
-                grad_x = g * inv_std
+                grad_x = np.multiply(g, inv_std, out=g)
             _route(x, grad_x, staged)
 
     _define_backward(out, backward)

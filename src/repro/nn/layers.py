@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -108,6 +109,25 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
+
+    @contextmanager
+    def frozen(self) -> Iterator["Module"]:
+        """Turn ``requires_grad`` off on every parameter for the block,
+        then give each back its previous flag, also when the block raises.
+
+        Gradients still flow *through* the module to its inputs; a
+        backward just computes no weight gradients for it (the attack's
+        victim detector, the discriminator in a generator step).
+        """
+        params = self.parameters()
+        previous = [param.requires_grad for param in params]
+        for param in params:
+            param.requires_grad = False
+        try:
+            yield self
+        finally:
+            for param, flag in zip(params, previous):
+                param.requires_grad = flag
 
     # -- checkpointing -----------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

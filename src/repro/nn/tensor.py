@@ -355,7 +355,8 @@ def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
 
     def backward(grad, staged):
         _route(a, grad, staged)
-        _route(b, -grad, staged)
+        if b.requires_grad:
+            _route(b, -grad, staged)
 
     _define_backward(out, backward)
     return out
@@ -366,8 +367,10 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     out = _make(a.data * b.data, (a, b))
 
     def backward(grad, staged):
-        _route(a, grad * b.data, staged)
-        _route(b, grad * a.data, staged)
+        if a.requires_grad:
+            _route(a, grad * b.data, staged)
+        if b.requires_grad:
+            _route(b, grad * a.data, staged)
 
     _define_backward(out, backward)
     return out
@@ -378,8 +381,10 @@ def div(a: ArrayLike, b: ArrayLike) -> Tensor:
     out = _make(a.data / b.data, (a, b))
 
     def backward(grad, staged):
-        _route(a, grad / b.data, staged)
-        _route(b, -grad * a.data / (b.data * b.data), staged)
+        if a.requires_grad:
+            _route(a, grad / b.data, staged)
+        if b.requires_grad:
+            _route(b, -grad * a.data / (b.data * b.data), staged)
 
     _define_backward(out, backward)
     return out
@@ -576,13 +581,30 @@ def transpose(a: ArrayLike, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
     return out
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy basic indexing (ints, slices, Ellipsis,
+    None), which selects each element at most once. A bool, an array or a
+    list is advanced indexing and can repeat positions."""
+    for item in index if isinstance(index, tuple) else (index,):
+        if not (item is None or item is Ellipsis or isinstance(item, slice)
+                or (isinstance(item, (int, np.integer))
+                    and not isinstance(item, bool))):
+            return False
+    return True
+
+
 def getitem(a: Tensor, index) -> Tensor:
     a = ensure_tensor(a)
     out = _make(a.data[index], (a,))
 
     def backward(grad, staged):
         full = np.zeros_like(a.data)
-        np.add.at(full, index, grad)
+        if _is_basic_index(index):
+            # A view: no position repeats, so an in-place add is the
+            # scatter-add, bit for bit.
+            full[index] += grad
+        else:
+            np.add.at(full, index, grad)
         _route(a, full, staged)
 
     _define_backward(out, backward)

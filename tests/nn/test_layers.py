@@ -44,6 +44,31 @@ class TestModule:
         mlp.zero_grad()
         assert all(p.grad is None for p in mlp.parameters())
 
+    def test_frozen_restores_mixed_previous_flags(self):
+        mlp = make_mlp()
+        params = mlp.parameters()
+        params[1].requires_grad = False
+        params[2].requires_grad = False
+        before = [p.requires_grad for p in params]
+        with mlp.frozen() as module:
+            assert module is mlp
+            assert not any(p.requires_grad for p in params)
+            out = mlp(Tensor(np.ones((2, 4), dtype=np.float32),
+                             requires_grad=True))
+            assert out.requires_grad  # gradients still flow to the input
+        assert [p.requires_grad for p in params] == before == [
+            True, False, False, True]
+
+    def test_frozen_restores_flags_when_the_block_raises(self):
+        mlp = make_mlp()
+        params = mlp.parameters()
+        params[0].requires_grad = False
+        before = [p.requires_grad for p in params]
+        with pytest.raises(FloatingPointError, match="diverged"):
+            with mlp.frozen():
+                raise FloatingPointError("diverged")
+        assert [p.requires_grad for p in params] == before
+
     def test_state_dict_roundtrip(self):
         a = make_mlp()
         b = make_mlp()

@@ -17,7 +17,14 @@ from repro.nn import functional as F
 from repro.nn.functional import ConvWorkspace
 from repro.nn.lowering import FusedConvSpec, _ConvExec
 from repro.nn.quant import INT8_QMAX, K_CHUNK, QuantConvSpec, _QuantConvExec
-from repro.nn.tensor import _define_backward, _make, _route, ensure_tensor
+from repro.nn.tensor import (
+    _define_backward,
+    _is_basic_index,
+    _make,
+    _route,
+    ensure_tensor,
+    getitem,
+)
 
 small_arrays = st.integers(min_value=2, max_value=6)
 
@@ -434,44 +441,62 @@ def op_inputs(draw):
     return special_values(np.random.default_rng(seed), shape, dtype, rate), seed
 
 
-def upstream_for(shape, seed):
-    """Non-integer upstream gradients (so summation order shows), some −0.0."""
+def upstream_for(shape, seed, rate=0.0):
+    """Non-integer upstream gradients (so summation order shows), some
+    −0.0, with NaN and ±inf mixed in at ``rate``."""
     upstream = rand(shape, seed + 1)
-    upstream[np.random.default_rng(seed + 2).random(shape) < 0.1] = -0.0
+    rng = np.random.default_rng(seed + 2)
+    upstream[rng.random(shape) < 0.1] = -0.0
+    mask = rng.random(shape) < rate
+    upstream[mask] = rng.choice(SPECIALS[:3], size=int(mask.sum()))
     return upstream
 
 
-def run_op(op, x, seed, *args, **kwargs):
+def run_op(op, x, seed, *args, rate=0.0, **kwargs):
     tensor = leaf(x)
     out = op(tensor, *args, **kwargs)
-    out.backward(upstream_for(out.shape, seed))
+    out.backward(upstream_for(out.shape, seed, rate))
     return out.data, tensor.grad
+
+
+#: Share of upstream gradients drawn as NaN or ±inf.
+upstream_rates = st.sampled_from([0.0, 0.05, 0.3])
+
+
+pools = st.sampled_from([(2, 2, 0), (2, 1, 0), (3, 2, 0), (3, 1, 1)])
+
+
+def pool_fits(x, pool):
+    """Whether a ``(kernel, stride, padding)`` pool has a window on ``x``;
+    the darknet 'same' pool (2, 1, 0) pads one −inf row and column."""
+    kernel, _, padding = pool
+    added = 1 if pool == (2, 1, 0) else 2 * padding
+    return min(x.shape[2:]) + added >= kernel
 
 
 class TestValueOnlyOpsDifferential:
     """``F.max_pool2d``, ``F.leaky_relu`` and ``F.batch_norm`` against the
     oracles above: values and every gradient bit-identical."""
 
-    @given(case=op_inputs(),
-           pool=st.sampled_from([(2, 2, 0), (2, 1, 0), (3, 2, 0), (3, 1, 1)]))
+    @given(case=op_inputs(), pool=pools, rate=upstream_rates)
     @settings(max_examples=150, deadline=None)
-    def test_max_pool_matches_argmax_pool(self, case, pool):
+    def test_max_pool_matches_argmax_pool(self, case, pool, rate):
         x, seed = case
-        kernel, stride, padding = pool
-        # The darknet 'same' pool (2, 1, 0) pads one −inf row and column.
-        added = 1 if pool == (2, 1, 0) else 2 * padding
-        assume(min(x.shape[2:]) + added >= kernel)
-        got = run_op(F.max_pool2d, x, seed, kernel, stride, padding)
-        want = run_op(oracle_max_pool2d, x, seed, kernel, stride, padding)
+        assume(pool_fits(x, pool))
+        got = run_op(F.max_pool2d, x, seed, *pool, rate=rate)
+        want = run_op(oracle_max_pool2d, x, seed, *pool, rate=rate)
         assert_same_bits(got[0], want[0], "value")
         assert_same_bits(got[1], want[1], "grad")
 
-    @given(case=op_inputs(), slope=st.sampled_from([0.1, 0.2, 1.0]))
-    @settings(max_examples=60, deadline=None)
-    def test_leaky_relu_matches_mask_form(self, case, slope):
+    @given(case=op_inputs(), slope=st.sampled_from([0.1, 0.2, 1.0]),
+           rate=upstream_rates)
+    @settings(max_examples=100, deadline=None)
+    def test_leaky_relu_matches_mask_form(self, case, slope, rate):
+        """The oracle's backward is the ``np.where`` form the branch-free
+        ``max(x > 0, slope)`` factor replaced."""
         x, seed = case
-        got = run_op(F.leaky_relu, x, seed, slope)
-        want = run_op(oracle_leaky_relu, x, seed, slope)
+        got = run_op(F.leaky_relu, x, seed, slope, rate=rate)
+        want = run_op(oracle_leaky_relu, x, seed, slope, rate=rate)
         assert_same_bits(got[0], want[0], "value")
         assert_same_bits(got[1], want[1], "grad")
 
@@ -483,9 +508,12 @@ class TestValueOnlyOpsDifferential:
             F.leaky_relu(Tensor(np.ones((1, 1, 2, 2), np.float32)), slope)
 
     @given(case=op_inputs(), training=st.booleans(),
-           gamma_grad=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_batch_norm_matches_x_hat_form(self, case, training, gamma_grad):
+           gamma_grad=st.booleans(), rate=upstream_rates)
+    @settings(max_examples=100, deadline=None)
+    def test_batch_norm_matches_x_hat_form(self, case, training, gamma_grad,
+                                           rate):
+        """The oracle's backward is the allocating form the in-place
+        backward replaced, and its forward takes ``ndarray.var``."""
         x, seed = case
         c = x.shape[1]
         rng = np.random.default_rng(seed + 3)
@@ -504,7 +532,7 @@ class TestValueOnlyOpsDifferential:
             # forward and its backward moves the running statistics.
             op(Tensor(interleaved), gamma, beta, running_mean, running_var,
                True)
-            out.backward(upstream_for(out.shape, seed))
+            out.backward(upstream_for(out.shape, seed, rate))
             return {"value": out.data, "x": tensor.grad, "gamma": gamma.grad,
                     "beta": beta.grad, "running_mean": running_mean,
                     "running_var": running_var}
@@ -584,6 +612,169 @@ class TestValueOnlyOpsModules:
         assert got.keys() == want.keys()
         for name in want:
             assert_same_bits(got[name], want[name], name)
+
+
+# ----------------------------------------------------------------------
+# Differential backwards: the branch-free and in-place backward closures
+# against the forms they replaced
+# ----------------------------------------------------------------------
+
+def where_max_pool2d(x, kernel=2, stride=None, padding=0):
+    """``F.max_pool2d``'s values with the backward that found the first
+    max through ``np.copyto(where=)`` and scattered through ``np.where``."""
+    stride = stride or kernel
+    out = F.max_pool2d(x, kernel, stride, padding)
+    h, w = x.shape[2:]
+    if stride == 1 and kernel == 2 and padding == 0:
+        pad_spec = ((0, 0), (0, 0), (0, 1), (0, 1))
+    else:
+        pad_spec = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    top = pad_spec[2][0]
+
+    def backward(grad, staged):
+        data = np.pad(x.data, pad_spec, constant_values=-np.inf)
+        value = out.data
+        out_h, out_w = value.shape[2:]
+        grad = np.asarray(grad, dtype=np.float32)
+        windows = range(kernel * kernel)
+        first = np.full(value.shape, kernel * kernel, np.intp)
+        for index in reversed(windows):
+            view = F._window(data, *divmod(index, kernel), stride, out_h, out_w)
+            np.copyto(first, index, where=(view == value) | np.isnan(view))
+        grad_padded = np.zeros(data.shape, dtype=np.float32)
+        for index in reversed(windows):
+            view = F._window(grad_padded, *divmod(index, kernel), stride,
+                             out_h, out_w)
+            view += np.where(first == index, grad, 0.0)
+        _route(x, grad_padded[:, :, top:top + h, top:top + w], staged)
+
+    _define_backward(out, backward)
+    return out
+
+
+def add_at_getitem(a, index):
+    """``getitem`` whose backward scatters every index with ``np.add.at``."""
+    out = _make(a.data[index], (a,))
+
+    def backward(grad, staged):
+        full = np.zeros_like(a.data)
+        np.add.at(full, index, grad)
+        _route(a, full, staged)
+
+    _define_backward(out, backward)
+    return out
+
+
+def add_at_interpolate_bilinear(x, size):
+    """``F.interpolate_bilinear``'s values with the backward that scattered
+    each corner through a 4-D ``np.add.at`` of row and column index maps."""
+    out = F.interpolate_bilinear(x, size)
+    n, c, h, w = x.shape
+    out_h, out_w = size
+    ys = np.clip((np.arange(out_h, dtype=np.float32) + 0.5) * (h / out_h)
+                 - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w, dtype=np.float32) + 0.5) * (w / out_w)
+                 - 0.5, 0, w - 1)
+    y0, x0 = np.floor(ys).astype(np.int64), np.floor(xs).astype(np.int64)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    wy, wx = (ys - y0).astype(np.float32), (xs - x0).astype(np.float32)
+
+    def backward(grad, staged):
+        grad = np.asarray(grad, dtype=np.float32)
+        grad_x = np.zeros_like(x.data)
+        iy0 = y0[:, None].repeat(out_w, axis=1)
+        iy1 = y1[:, None].repeat(out_w, axis=1)
+        ix0 = x0[None, :].repeat(out_h, axis=0)
+        ix1 = x1[None, :].repeat(out_h, axis=0)
+        for weight_map, iy, ix in (
+                ((1 - wy)[:, None] * (1 - wx)[None, :], iy0, ix0),
+                ((1 - wy)[:, None] * wx[None, :], iy0, ix1),
+                (wy[:, None] * (1 - wx)[None, :], iy1, ix0),
+                (wy[:, None] * wx[None, :], iy1, ix1)):
+            np.add.at(grad_x, (slice(None), slice(None), iy, ix),
+                      grad * weight_map[None, None])
+        _route(x, grad_x, staged)
+
+    _define_backward(out, backward)
+    return out
+
+
+@st.composite
+def index_cases(draw):
+    """(shape, index, basic): a basic index (slices with positive or
+    negative steps, ints, Ellipsis, None) or an advanced or mixed one
+    whose integer array repeats a position."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(["basic", "advanced", "mixed"]))
+    if kind == "basic":
+        items = []
+        for size in shape[:draw(st.integers(0, len(shape)))]:
+            if draw(st.booleans()):
+                position = draw(st.integers(-size, size - 1))
+                items.append(draw(st.sampled_from([int, np.int64]))(position))
+            else:
+                bounds = st.one_of(st.none(), st.integers(-size - 1, size))
+                items.append(slice(draw(bounds), draw(bounds),
+                                   draw(st.sampled_from([None, 1, 2, -1, -2]))))
+        if draw(st.booleans()):
+            at = (draw(st.integers(0, len(items)))
+                  if len(items) == len(shape) else len(items))
+            items.insert(at, Ellipsis)
+        for _ in range(draw(st.integers(0, 2))):
+            items.insert(draw(st.integers(0, len(items))), None)
+        index = items[0] if len(items) == 1 and draw(st.booleans()) else tuple(items)
+        return shape, index, True
+    axis = draw(st.integers(0, len(shape) - 1))
+    size = shape[axis]
+    positions = draw(st.lists(st.integers(-size, size - 1), min_size=1,
+                              max_size=5))
+    positions.insert(draw(st.integers(0, len(positions))), positions[0])
+    lead = ((slice(None),) if kind == "advanced"
+            else (slice(None, None, -1),)) * axis
+    index = lead + (np.array(positions),)
+    if kind == "mixed" and draw(st.booleans()):
+        index += (Ellipsis,)
+    return shape, index, False
+
+
+class TestBackwardRewritesDifferential:
+    """The rewritten backward closures against the forms they replaced
+    (the leaky-ReLU and batch-norm ones are the oracles of
+    :class:`TestValueOnlyOpsDifferential`): every gradient bit-identical,
+    with NaN, ±inf and −0.0 in the inputs and the upstream gradients."""
+
+    @given(case=op_inputs(), pool=pools, rate=upstream_rates)
+    @settings(max_examples=150, deadline=None)
+    def test_max_pool_matches_copyto_where_backward(self, case, pool, rate):
+        x, seed = case
+        assume(pool_fits(x, pool))
+        got = run_op(F.max_pool2d, x, seed, *pool, rate=rate)
+        want = run_op(where_max_pool2d, x, seed, *pool, rate=rate)
+        assert_same_bits(got[1], want[1], "grad")
+
+    @given(case=index_cases(), dtype=st.sampled_from([np.float32, np.float64]),
+           rate=upstream_rates, seed=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_getitem_matches_add_at_backward(self, case, dtype, rate, seed):
+        shape, index, basic = case
+        assert _is_basic_index(index) == basic
+        x = rand(shape, seed).astype(dtype)
+        got = run_op(getitem, x, seed, index, rate=rate)
+        want = run_op(add_at_getitem, x, seed, index, rate=rate)
+        assert_same_bits(got[0], want[0], "value")
+        assert_same_bits(got[1], want[1], "grad")
+
+    @given(case=op_inputs(), size=st.tuples(st.integers(1, 19),
+                                            st.integers(1, 19)),
+           rate=upstream_rates)
+    @settings(max_examples=100, deadline=None)
+    def test_bilinear_matches_4d_add_at_backward(self, case, size, rate):
+        """Resizes both up and down (the input is 1–9 pixels a side)."""
+        x, seed = case
+        assume(size != x.shape[2:])
+        got = run_op(F.interpolate_bilinear, x, seed, size, rate=rate)
+        want = run_op(add_at_interpolate_bilinear, x, seed, size, rate=rate)
+        assert_same_bits(got[1], want[1], "grad")
 
 
 # ----------------------------------------------------------------------

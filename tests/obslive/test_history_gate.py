@@ -442,6 +442,30 @@ class TestBenchGates:
                 gate = json.load(handle)["speedup_gate"]
             assert gate["enforced"] == (workers >= 2)
 
+    def test_train_times_only_warm_runs(self, tmp_path, monkeypatch):
+        """The process's first training run pays its cold start, so it
+        runs untimed and every reported steps/s is a warm run's."""
+        train = BENCHES["train"]
+        patch = SimpleNamespace(patch=np.zeros((1, 1, 4, 4), np.float32))
+        calls = []
+
+        def timed_run(args, n_workers, runtime=None, obs=None, live=None):
+            calls.append(n_workers)
+            with span_scope(obs, "attack.train"):
+                return patch, 20.0 if len(calls) == 1 else 10.0
+
+        monkeypatch.setattr(train, "run_training", timed_run)
+        report = os.path.join(tmp_path, "BENCH_train.json")
+        assert train.main(["--workers", "1", "--steps", "4",
+                           "--skip-resume-gate", "--history", "",
+                           "--output", report]) == 0
+        assert calls == [0, 0, None, 1]
+        with open(report) as handle:
+            payload = json.load(handle)
+        assert payload["serial_steps_per_sec"] == 0.4
+        assert payload["batched_steps_per_sec"] == 0.4
+        assert payload["speedup"] == 1.0
+
     def test_window_only_batch_cut_fails_the_open_loop_gate(
             self, monkeypatch):
         """The same-run gate must fail once a lone frame waits out its
