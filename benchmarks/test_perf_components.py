@@ -16,7 +16,7 @@ from repro.detection import TinyYolo, detections_from_outputs, reduced_config
 from repro.eot import EOTPipeline
 from repro.gan import PatchDiscriminator, PatchGenerator
 from repro.gan.losses import discriminator_loss, generator_adversarial_loss
-from repro.nn import Adam, Tensor, clip_grad_norm, no_grad
+from repro.nn import Adam, Tensor, clip_grad_norm, no_grad, replay_running_update
 from repro.patch import (
     apply_patches,
     patch_world_size,
@@ -130,7 +130,9 @@ def test_attack_step_composite(benchmark):
 
 def test_gan_step(benchmark):
     """One D step and one G step as ``train_gan`` runs them at paper
-    defaults (batch 18, k = 60), the discriminator frozen in the G step."""
+    defaults (batch 18, k = 60): one generator forward, which D sees
+    detached and the G step reuses with the discriminator frozen, and the
+    generator's batch-norm running update replayed in between."""
     config = AttackConfig()
     generator = PatchGenerator(config.k, latent_dim=config.latent_dim)
     discriminator = PatchDiscriminator(config.k)
@@ -141,14 +143,16 @@ def test_gan_step(benchmark):
     z = Tensor(generator.sample_latent(config.gan_batch, rng))
 
     def run():
+        fake = generator(z)
         d_loss = discriminator_loss(discriminator(real),
-                                    discriminator(generator(z).detach()))
+                                    discriminator(fake.detach()))
         d_optimizer.zero_grad()
         d_loss.backward()
         clip_grad_norm(discriminator.parameters(), config.grad_clip)
         d_optimizer.step()
+        replay_running_update(generator)
         with discriminator.frozen():
-            g_loss = generator_adversarial_loss(discriminator(generator(z)))
+            g_loss = generator_adversarial_loss(discriminator(fake))
             g_optimizer.zero_grad()
             g_loss.backward()
         clip_grad_norm(generator.parameters(), config.grad_clip)

@@ -23,6 +23,11 @@ rows bind on every run, so no number is reported for changed semantics:
   byte (the fault-tolerance contract under ``workers > 0``); off with
   ``--skip-resume-gate``.
 
+Each timed run's final patch is reported as a sha256 (``patch_sha256``:
+``batched``, ``serial``, ``parallel``) with no gate row: BLAS results
+differ across hosts, so a digest is compared between commits on one
+host, never with the committed report.
+
 The ≥1.5× speedup target is a parallel target that only holds where
 there are cores to run on, so its row binds only for ``--workers`` ≥ 2
 on a machine with ``os.cpu_count() >= workers`` (``--workers 0`` times
@@ -43,6 +48,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import tempfile
@@ -144,6 +150,10 @@ def run_training(args: argparse.Namespace, workers: int,
     return result, time.perf_counter() - start
 
 
+def patch_sha256(patch: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(patch).tobytes()).hexdigest()
+
+
 def resume_parity(args: argparse.Namespace, reference: np.ndarray) -> bool:
     """Crash a parallel run mid-loop, resume it, compare patches byte-wise.
 
@@ -192,7 +202,7 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
     # every timed run below is a warm one.
     run_training(args, 0)
     serial_result, serial_seconds = run_training(args, 0)
-    _, batched_seconds = run_training(args, None)
+    batched_result, batched_seconds = run_training(args, None)
 
     # Tracing and live train telemetry ride on the *parallel* timed run
     # only — the serial oracle stays uninstrumented, so the bit-identity
@@ -239,6 +249,9 @@ def run_benchmark(args: argparse.Namespace, obs: Run) -> dict:
         },
         "bit_identical": identical,
         "resume_parity": resume_ok,
+        "patch_sha256": {name: patch_sha256(result.patch) for name, result in (
+            ("batched", batched_result), ("serial", serial_result),
+            ("parallel", parallel_result))},
         "perf": {"stages": stage_table(load_trace(obs.trace_path))},
         "live": None if live is None else {
             "ticks": live.ticks,
@@ -260,6 +273,8 @@ def print_summary(args: argparse.Namespace, payload: dict) -> None:
           f"on {gate['cpus']} CPUs)")
     print(f"bit-identical: {payload['bit_identical']}   "
           f"resume-parity: {payload['resume_parity']}")
+    print("patch sha256: " + "   ".join(
+        f"{name} {digest[:16]}" for name, digest in payload["patch_sha256"].items()))
     if payload.get("live"):
         summary = payload["live"]
         print(f"live: {summary['ticks']} ticks, {summary['alerts']} alerts, "

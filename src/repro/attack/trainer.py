@@ -38,7 +38,14 @@ from ..gan.discriminator import PatchDiscriminator
 from ..gan.generator import PatchGenerator
 from ..gan.losses import discriminator_loss, generator_adversarial_loss
 from ..gan.trainer import GanTrainConfig, train_gan
-from ..nn import Adam, Tensor, clip_grad_norm, concatenate
+from ..nn import (
+    Adam,
+    Tensor,
+    clip_grad_norm,
+    concatenate,
+    no_grad,
+    replay_running_update,
+)
 from ..nn import functional as F
 from ..obs import Run, span_scope
 from ..patch.apply import apply_patches
@@ -555,6 +562,8 @@ def _train_with_frozen_detector(
                     ledger.checkpoint_saved()
 
             # -- discriminator --------------------------------------------
+            # The generator step reuses this forward: the D step leaves
+            # G's weights as they are.
             real = sample_batch(config.shape, config.k, config.gan_batch, rng)
             z_noise = generator.sample_latent(config.gan_batch, rng)
             fake = generator(Tensor(z_noise))
@@ -569,11 +578,13 @@ def _train_with_frozen_detector(
             d_optimizer.step()
 
             # -- generator: adversarial + α · attack -----------------------
-            # The discriminator's weight gradients would go unread (the next
-            # D step zeroes them), so it is frozen from this forward through
-            # the backward.
+            # G's batch-norm layers update their running statistics a
+            # second time, as a second forward would (DESIGN.md §8). The
+            # discriminator's weight gradients would go unread (the next
+            # D step zeroes them), so it is frozen from here through the
+            # backward.
+            replay_running_update(generator)
             with discriminator.frozen():
-                fake = generator(Tensor(z_noise))
                 adv = generator_adversarial_loss(discriminator(fake))
 
                 patch = generator(Tensor(z_deploy))
@@ -694,7 +705,8 @@ def _train_with_frozen_detector(
         ledger.finish()
     generator.eval()
     discriminator.eval()
-    final_patch = generator(Tensor(z_deploy)).data[0]
+    with no_grad():
+        final_patch = generator(Tensor(z_deploy)).data[0]
     alpha = hard_background_mask(final_patch)
     return AttackResult(
         patch=final_patch.astype(np.float32),

@@ -29,7 +29,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..nn import Tensor
+from ..nn import Tensor, no_grad
 from ..parallel import ArraySpec
 from ..patch.shapes import sample_batch
 from ..utils.rng import derive_seed
@@ -106,15 +106,19 @@ def gan_worker_step(ctx: _GanContext, params: Dict[str, np.ndarray],
             param.grad = None
         for param in ctx.discriminator.parameters():
             param.grad = None
-        fake = ctx.generator(Tensor(z))
         if phase == "d":
+            # The discriminator sees the fake detached, so its forward
+            # builds no generator graph.
+            with no_grad():
+                fake = ctx.generator(Tensor(z))
             loss = discriminator_loss(
-                ctx.discriminator(Tensor(real)), ctx.discriminator(fake.detach()))
+                ctx.discriminator(Tensor(real)), ctx.discriminator(fake))
             prefix, module = "disc.", ctx.discriminator
             loss.backward()
         else:
             # Only the generator's gradients ship back, so the
             # discriminator computes none.
+            fake = ctx.generator(Tensor(z))
             with ctx.discriminator.frozen():
                 loss = generator_adversarial_loss(ctx.discriminator(fake))
                 loss.backward()

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..nn import Adam, Tensor, clip_grad_norm, no_grad
+from ..nn import Adam, Tensor, clip_grad_norm, no_grad, replay_running_update
 from ..obs import Run, span_scope
 from ..patch.shapes import sample_batch
 from ..runtime import (
@@ -240,7 +240,8 @@ def train_gan(
                                     config.batch_size, rng)
                 z = generator.sample_latent(config.batch_size, rng)
 
-                # Discriminator step (fakes detached).
+                # Discriminator step (fakes detached). The G step reuses
+                # this forward: the D step leaves G's weights as they are.
                 fake = generator(Tensor(z))
                 d_loss = discriminator_loss(
                     discriminator(Tensor(real)), discriminator(fake.detach())
@@ -256,8 +257,10 @@ def train_gan(
 
                 # Generator step, the discriminator frozen: its weight
                 # gradients would go unread (the next D step zeroes them).
+                # G's batch-norm layers update their running statistics a
+                # second time, as a second forward would (DESIGN.md §8).
+                replay_running_update(generator)
                 with discriminator.frozen():
-                    fake = generator(Tensor(z))
                     g_loss = generator_adversarial_loss(discriminator(fake))
                     g_loss_value = float(g_loss.data)
                     guard.check(step, g_loss=g_loss_value)

@@ -23,6 +23,7 @@ from .layers import (
     Sigmoid,
     Tanh,
     Upsample,
+    replay_running_update,
 )
 from .lowering import (
     LOWERING_ATOL,
@@ -57,6 +58,7 @@ __all__ = [
     "ConvBlock",
     "Linear",
     "BatchNorm2d",
+    "replay_running_update",
     "LeakyReLU",
     "ReLU",
     "Sigmoid",

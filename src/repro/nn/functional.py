@@ -71,6 +71,7 @@ __all__ = [
     "mse_loss",
     "l1_loss",
     "batch_norm",
+    "update_running_stats",
     "dropout",
 ]
 
@@ -1052,12 +1053,16 @@ def batch_norm(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
+    batch_stats: Optional[list] = None,
 ) -> Tensor:
     """Batch normalization over an NCHW tensor's (N, H, W) axes.
 
     When ``training`` is true, batch statistics are used and the running
     buffers are updated in place; at inference the running buffers are used,
-    matching darknet/torch semantics.
+    matching darknet/torch semantics. A training-mode forward stores its
+    batch mean and unbiased variance, the operands of that update, in a
+    ``batch_stats`` list, so :func:`repro.nn.replay_running_update` can
+    apply the same update again.
 
     The forward normalizes in one buffer, in place, as
     ``((x − μ)·(1/σ))·γ + β``; in training mode the batch variance is
@@ -1079,10 +1084,9 @@ def batch_norm(
         var = np.square(value).sum(axis=axes)
         np.true_divide(var, np.intp(count), out=var, casting="unsafe")
         unbiased = var * count / max(count - 1, 1)
-        running_mean *= 1 - momentum
-        running_mean += momentum * mean
-        running_var *= 1 - momentum
-        running_var += momentum * unbiased
+        update_running_stats(running_mean, running_var, mean, unbiased, momentum)
+        if batch_stats is not None:
+            batch_stats[:] = (mean, unbiased)
     else:
         var = running_var
     mean = mean.reshape(1, -1, 1, 1)
@@ -1121,6 +1125,17 @@ def batch_norm(
 
     _define_backward(out, backward)
     return out
+
+
+def update_running_stats(running_mean: np.ndarray, running_var: np.ndarray,
+                         mean: np.ndarray, unbiased: np.ndarray,
+                         momentum: float) -> None:
+    """A training-mode :func:`batch_norm`'s running update, in place:
+    ``r ← (1 − m)·r + m·s`` for the mean and the unbiased variance."""
+    running_mean *= 1 - momentum
+    running_mean += momentum * mean
+    running_var *= 1 - momentum
+    running_var += momentum * unbiased
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -26,6 +26,7 @@ __all__ = [
     "ConvBlock",
     "Linear",
     "BatchNorm2d",
+    "replay_running_update",
     "LeakyReLU",
     "ReLU",
     "Sigmoid",
@@ -248,8 +249,13 @@ class BatchNorm2d(Module):
         self.beta = Parameter(np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
+        #: The last forward's ``[batch mean, unbiased variance]``, or
+        #: ``None`` when it ran in eval mode (or never ran). Not a buffer:
+        #: checkpoints and state digests never see it.
+        self.batch_stats: Optional[list] = None
 
     def forward(self, x: Tensor) -> Tensor:
+        self.batch_stats = [] if self.training else None
         return F.batch_norm(
             x,
             self.gamma,
@@ -259,7 +265,28 @@ class BatchNorm2d(Module):
             training=self.training,
             momentum=self.momentum,
             eps=self.eps,
+            batch_stats=self.batch_stats,
         )
+
+
+def replay_running_update(module: Module) -> None:
+    """Apply every batch-norm layer's last running update once more.
+
+    Each :class:`BatchNorm2d` in ``module`` repeats the in-place update
+    its last training-mode forward made, from that forward's batch mean
+    and unbiased variance: the running buffers end byte-equal to a second
+    forward on the same input and weights. A GAN step reuses its one
+    generator forward for both the D and the G step and replays the
+    update where the second forward used to run (DESIGN.md §8). Raises
+    ``RuntimeError`` if a layer's last forward ran in eval mode.
+    """
+    for layer in module.modules():
+        if isinstance(layer, BatchNorm2d):
+            if not layer.batch_stats:
+                raise RuntimeError("replay_running_update: the last forward of a "
+                                   "BatchNorm2d ran in eval mode or never ran")
+            F.update_running_stats(layer.running_mean, layer.running_var,
+                                   *layer.batch_stats, layer.momentum)
 
 
 class LeakyReLU(Module):

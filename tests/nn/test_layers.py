@@ -133,6 +133,98 @@ class TestLayers:
         assert up(Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32))).shape == (1, 2, 6, 6)
 
 
+def tensor_of(data):
+    """A tensor holding ``data`` in its own dtype (the constructor would
+    cast a float64 array to float32)."""
+    tensor = Tensor(np.zeros(data.shape, np.float32))
+    tensor.data = data
+    return tensor
+
+
+class TestReplayRunningUpdate:
+    """``nn.replay_running_update`` after one training-mode forward leaves
+    the running buffers byte-equal to a second forward on the same input."""
+
+    CASES = {
+        "float32": {},
+        "float64": {"dtype": np.float64},
+        "nan_in_one_channel": {"nan": True},
+        "batch_1": {"shape": (1, 3, 5, 6)},
+        "one_value_per_channel": {"shape": (1, 3, 1, 1)},
+        "momentum_0.37": {"momentum": 0.37},
+    }
+
+    @staticmethod
+    def layer(momentum=0.1):
+        bn = nn.BatchNorm2d(3, momentum=momentum)
+        bn.running_mean[...] = (0.25, -1.5, 3.0)
+        bn.running_var[...] = (0.5, 2.0, 1.25)
+        return bn
+
+    @staticmethod
+    def buffers(module):
+        return {name: buf.copy() for name, buf in module.named_buffers()}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_replay_equals_a_second_forward(self, case):
+        opts = self.CASES[case]
+        x = np.random.default_rng(11).normal(0.7, 2.3, opts.get("shape", (4, 3, 5, 6)))
+        x = x.astype(opts.get("dtype", np.float32))
+        if opts.get("nan"):
+            x[0, 1, 2, 3] = np.nan
+        momentum = opts.get("momentum", 0.1)
+        once, twice, replayed = (self.layer(momentum) for _ in range(3))
+        once(tensor_of(x))
+        twice(tensor_of(x))
+        twice(tensor_of(x))
+        replayed(tensor_of(x))
+        nn.replay_running_update(replayed)
+        want, got = self.buffers(twice), self.buffers(replayed)
+        for name in want:
+            assert got[name].dtype == np.float32
+            assert got[name].tobytes() == want[name].tobytes(), name
+            assert got[name].tobytes() != self.buffers(once)[name].tobytes()
+        assert np.isnan(got["running_mean"]).tolist() == [False, bool(opts.get("nan")), False]
+
+    def test_replay_walks_every_layer(self):
+        model = nn.Sequential(nn.ConvBlock(2, 4, rng=np.random.default_rng(0)),
+                              nn.ConvBlock(4, 3, rng=np.random.default_rng(1)))
+        twice = nn.Sequential(nn.ConvBlock(2, 4, rng=np.random.default_rng(0)),
+                              nn.ConvBlock(4, 3, rng=np.random.default_rng(1)))
+        x = np.random.default_rng(2).normal(size=(3, 2, 6, 6)).astype(np.float32)
+        model(Tensor(x))
+        nn.replay_running_update(model)
+        twice(Tensor(x))
+        twice(Tensor(x))
+        want, got = self.buffers(twice), self.buffers(model)
+        assert sorted(got) == sorted(want) and len(want) == 4
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_replay_after_an_eval_forward_raises(self):
+        bn = self.layer()
+        x = np.random.default_rng(3).normal(size=(2, 3, 4, 4)).astype(np.float32)
+        bn(Tensor(x))
+        bn.eval()
+        bn(Tensor(x))
+        before = self.buffers(bn)
+        with pytest.raises(RuntimeError, match="eval mode"):
+            nn.replay_running_update(bn)
+        for name, buf in self.buffers(bn).items():
+            assert buf.tobytes() == before[name].tobytes()
+
+    def test_replay_before_any_forward_raises(self):
+        with pytest.raises(RuntimeError, match="never ran"):
+            nn.replay_running_update(self.layer())
+
+    def test_batch_stats_stay_out_of_the_state_dict(self):
+        bn = self.layer()
+        bn(Tensor(np.ones((2, 3, 2, 2), np.float32)))
+        assert bn.batch_stats is not None
+        assert sorted(bn.state_dict()) == ["beta", "buffer:running_mean",
+                                           "buffer:running_var", "gamma"]
+
+
 class TestSerialization:
     def test_save_load_roundtrip(self, tmp_path):
         from repro.nn import load_module, save_module

@@ -355,7 +355,7 @@ def oracle_leaky_relu(x, slope=0.1):
 
 
 def oracle_batch_norm(x, gamma, beta, running_mean, running_var, training,
-                      momentum=0.1, eps=1e-5):
+                      momentum=0.1, eps=1e-5, batch_stats=None):
     """Out-of-place batch-norm that keeps x̂ for the backward."""
     x = ensure_tensor(x)
     axes = (0, 2, 3)
@@ -368,6 +368,8 @@ def oracle_batch_norm(x, gamma, beta, running_mean, running_var, training,
         running_mean += momentum * mean
         running_var *= 1 - momentum
         running_var += momentum * unbiased
+        if batch_stats is not None:
+            batch_stats[:] = (mean, unbiased)
     else:
         mean = running_mean
         var = running_var
